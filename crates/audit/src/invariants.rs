@@ -624,13 +624,12 @@ impl Invariant for CacheConsistency {
 }
 
 /// Execution-path equivalence: the machine's event-driven inner loop
-/// (replay fast path + stepped/batched Λ solves) and the legacy per-tick
-/// loop must produce byte-identical run-codec output for the same run
-/// key. Like [`CacheConsistency`] this invariant has no live hook — the
+/// (replay fast path) and the legacy per-tick loop must produce
+/// byte-identical run-codec output for the same run key. Like
+/// [`CacheConsistency`] this invariant has no live hook — the
 /// differential fuzzer drives it through
 /// [`crate::Auditor::check_byte_identity_as`], comparing a per-tick
-/// re-execution and a batched-engine execution against the event-driven
-/// baseline. Installed in the catalog so audits report it alongside the
+/// re-execution against the event-driven baseline. Installed in the catalog so audits report it alongside the
 /// others.
 pub struct ExecPathEquivalence;
 

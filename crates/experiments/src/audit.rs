@@ -165,8 +165,8 @@ pub(crate) fn canonical_bytes(result: &RunResult) -> Vec<u8> {
 
 /// The full differential check for one cell: audited serial run, then
 /// the same cell re-executed with the legacy per-tick inner loop, then
-/// through the engine with `workers` threads (serial-solve and
-/// batch-solve modes), then a warm re-execution of the same plan —
+/// through the engine with `workers` threads, then a warm re-execution
+/// of the same plan —
 /// asserting invariant cleanliness, byte-identical codec output,
 /// identical CSV rows, and all-hit warm passes.
 pub fn check_cell_differential(cell: &FuzzCell, workers: usize) -> Vec<Violation> {
@@ -208,17 +208,6 @@ pub fn check_cell_differential(cell: &FuzzCell, workers: usize) -> Vec<Violation
     let mut plan = Plan::new();
     let id = plan.cell(RunRequest::spec(mix, PolicyKind::Stack(cell.stack), &rc));
     let mut engine = Engine::ephemeral();
-
-    // Batched-engine differential: the same cell driven through the
-    // lockstep SoA batch solver on a fresh engine (its own cache, so the
-    // run actually executes batched instead of hitting `engine`'s cache).
-    let batched = Engine::ephemeral().execute_batched(&plan, workers);
-    auditor.check_byte_identity_as(
-        "exec-path-equivalence",
-        &format!("cell {:?}: serial vs batched engine", cell.mix),
-        &baseline_bytes,
-        &canonical_bytes(batched.get(id)),
-    );
 
     let cold = engine.execute(&plan, workers);
     auditor.check_byte_identity(
@@ -757,7 +746,7 @@ mod tests {
     #[test]
     fn multi_socket_cell_is_clean_under_full_differential_check() {
         // Pin a hierarchical-topology cell with a socket-aware placer so
-        // the five-way differential always covers the per-level Λ path.
+        // the four-way differential always covers the per-level Λ path.
         let cell = FuzzCell {
             stack: StackSpec::parse("placer=pack_local").unwrap(),
             mix: vec!["CG", "SP"],

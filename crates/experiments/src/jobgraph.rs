@@ -17,17 +17,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use busbw_sim::{BatchSolver, MachineConfig, StepEvent};
-
-/// Below this many pending Λ solves in a lockstep round, the batched
-/// engine bypasses the [`BatchSolver`] and calls
-/// [`busbw_sim::solve_lambda`] directly: the SoA stream's content hashing
-/// and memo upkeep only pay for themselves once enough cells share the
-/// round (measured crossover ≈ a handful of lanes; small plans like the
-/// four-run tick benchmark were paying the full round-trip for nothing).
-/// Either path produces the same bits — a solver lane reproduces
-/// `solve_lambda` exactly.
-const ADAPTIVE_BATCH_MIN_LANES: usize = 8;
+use busbw_sim::MachineConfig;
 use busbw_workloads::mix::WorkloadSpec;
 use busbw_workloads::paper::PaperApp;
 
@@ -36,10 +26,7 @@ use crate::cache::{
     RUN_SCHEMA_VERSION,
 };
 use crate::pool::steal_map;
-use crate::runner::{
-    finalize_run, prepare_run, run_spec, PolicyKind, PreparedRun, RunResult, RunnerConfig,
-    TraceMode,
-};
+use crate::runner::{run_spec, PolicyKind, RunResult, RunnerConfig, TraceMode};
 
 /// Handle to one declared cell of a [`Plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -467,152 +454,6 @@ impl Engine {
         }
     }
 
-    /// [`Engine::execute`] with every cache-missing [`RunShape::Spec`]
-    /// cell driven in lockstep through the machine's stepped API
-    /// ([`busbw_sim::Machine::run_begin`]) over one shared
-    /// [`BatchSolver`]: each round collects the pending Λ solves of all
-    /// live runs into SoA lanes, solves them in a single Newton stream
-    /// (sharing the cross-batch warm-start memo between cells), and
-    /// resumes each run with its lane's λ. Results are bit-identical to
-    /// [`Engine::execute`] — a solver lane reproduces
-    /// [`busbw_sim::solve_lambda`] exactly, and lockstep interleaving
-    /// never reorders work *within* a run. Staggered cells (the `dynamic`
-    /// figure) fall back to the per-cell path on the stealing pool.
-    pub fn execute_batched(&mut self, plan: &Plan, workers: usize) -> Executed {
-        struct LiveRun {
-            slot: usize,
-            prep: PreparedRun,
-            cur: busbw_sim::RunCursor,
-            out: Option<busbw_sim::RunOutcome>,
-        }
-
-        let mut slots: Vec<Option<Arc<RunResult>>> = vec![None; plan.requests.len()];
-        let mut spec_missing: Vec<usize> = Vec::new();
-        let mut other_missing: Vec<usize> = Vec::new();
-        for (i, key) in plan.keys.iter().enumerate() {
-            match self.cache.get(key) {
-                Some((r, _tier)) => {
-                    self.stats.cache_hits += 1;
-                    slots[i] = Some(r);
-                }
-                None => {
-                    self.stats.cache_misses += 1;
-                    match plan.requests[i].shape {
-                        RunShape::Spec(_) => spec_missing.push(i),
-                        RunShape::Staggered { .. } | RunShape::Open(_) | RunShape::Oracle(_) => {
-                            other_missing.push(i)
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut live: Vec<LiveRun> = spec_missing
-            .iter()
-            .map(|&i| {
-                let req = &plan.requests[i];
-                let RunShape::Spec(spec) = &req.shape else {
-                    unreachable!("spec_missing holds only Spec cells")
-                };
-                let mut prep = prepare_run(spec, req.policy, &req.runner_config());
-                let stop = prep.stop_condition();
-                let PreparedRun {
-                    ref mut machine,
-                    ref mut sched,
-                    ..
-                } = prep;
-                let cur = machine.run_begin(&mut **sched, stop, false);
-                LiveRun {
-                    slot: i,
-                    prep,
-                    cur,
-                    out: None,
-                }
-            })
-            .collect();
-
-        let mut solver = BatchSolver::new();
-        let mut pending: Vec<(usize, busbw_sim::SolveJob)> = Vec::new();
-        let mut lanes: Vec<(usize, usize)> = Vec::new();
-        loop {
-            pending.clear();
-            for (j, run) in live.iter_mut().enumerate() {
-                if run.out.is_some() {
-                    continue;
-                }
-                let LiveRun { prep, cur, out, .. } = run;
-                let PreparedRun {
-                    ref mut machine,
-                    ref mut sched,
-                    ..
-                } = prep;
-                match machine.run_step(&mut **sched, cur, None) {
-                    StepEvent::NeedSolve(job) => pending.push((j, job)),
-                    StepEvent::Done(o) => *out = Some(o),
-                }
-            }
-            if pending.is_empty() {
-                break; // every live run reached Done
-            }
-            if pending.len() < ADAPTIVE_BATCH_MIN_LANES {
-                // Adaptive cutover: with only a few pending solves the SoA
-                // machinery (content hashing, memo upkeep, lane bookkeeping)
-                // costs more per solve than it amortizes, so solve inline.
-                // `solve_lambda` is the reference the batch lanes reproduce,
-                // so either path yields the same bits.
-                for &(j, job) in &pending {
-                    let run = &mut live[j];
-                    let lambda =
-                        busbw_sim::solve_lambda(run.cur.pending_requests(), job.cap, job.warm);
-                    run.prep
-                        .machine
-                        .run_step_complete(&mut run.cur, lambda, None);
-                }
-                continue;
-            }
-            solver.clear(); // keeps the cross-batch warm-start memo
-            lanes.clear();
-            for &(j, job) in &pending {
-                let reqs = live[j].cur.pending_requests();
-                lanes.push((j, solver.push_lane(reqs, job)));
-            }
-            solver.solve_all();
-            for &(j, lane) in &lanes {
-                let run = &mut live[j];
-                run.prep
-                    .machine
-                    .run_step_complete(&mut run.cur, solver.lambda(lane), None);
-            }
-        }
-        self.stats.executed += live.len() as u64;
-        for run in live {
-            let out = run.out.expect("lockstep loop drains every run");
-            let arc = Arc::new(finalize_run(run.prep, out));
-            self.cache
-                .put(plan.keys[run.slot].clone(), Arc::clone(&arc));
-            slots[run.slot] = Some(arc);
-        }
-
-        let (fresh, steal) = steal_map(&other_missing, workers, |&i| plan.requests[i].execute());
-        self.stats.executed += steal.executed;
-        self.stats.steals += steal.steals;
-        for (&i, r) in other_missing.iter().zip(fresh) {
-            let arc = Arc::new(r);
-            self.cache.put(plan.keys[i].clone(), Arc::clone(&arc));
-            slots[i] = Some(arc);
-        }
-
-        self.stats.declared += plan.declared;
-        self.stats.unique += plan.requests.len() as u64;
-        self.stats.cache_corrupt = self.cache.corrupt_count();
-        Executed {
-            results: slots
-                .into_iter()
-                .map(|s| s.expect("every cell resolved"))
-                .collect(),
-        }
-    }
-
     /// Everything this engine has done so far.
     pub fn stats(&self) -> &ExecStats {
         &self.stats
@@ -687,49 +528,6 @@ mod tests {
         assert_eq!(engine.stats().executed, 1, "second pass served from cache");
         // Cache-served result is the same allocation, hence bit-identical.
         assert!(Arc::ptr_eq(&first.get_arc(id), &second.get_arc(id)));
-    }
-
-    #[test]
-    fn batched_engine_is_bit_identical_to_serial_engine() {
-        let rc = quick();
-        let mut plan = Plan::new();
-        let mut ids = Vec::new();
-        for (app, policy) in [
-            (PaperApp::Cg, PolicyKind::Linux),
-            (PaperApp::Cg, PolicyKind::Window),
-            (PaperApp::Volrend, PolicyKind::Latest),
-            (PaperApp::Mg, PolicyKind::GreedyPack),
-        ] {
-            ids.push(plan.cell(RunRequest::spec(fig2_set_b(app), policy, &rc)));
-        }
-        // One staggered cell exercises the per-cell fallback path.
-        ids.push(plan.cell(RunRequest::staggered(
-            PaperApp::Cg,
-            50_000,
-            PolicyKind::Linux,
-            &rc,
-        )));
-        let serial = Engine::ephemeral().execute(&plan, 1);
-        let mut engine = Engine::ephemeral();
-        let batched = engine.execute_batched(&plan, 1);
-        assert_eq!(engine.stats().executed, plan.len() as u64);
-        for &id in &ids {
-            let (a, b) = (serial.get(id), batched.get(id));
-            assert_eq!(a.turnarounds_us.len(), b.turnarounds_us.len());
-            for (x, y) in a.turnarounds_us.iter().zip(&b.turnarounds_us) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            assert_eq!(a.workload_rate.to_bits(), b.workload_rate.to_bits());
-            assert_eq!(a.ticks, b.ticks);
-            assert_eq!(a.sim_elapsed_us, b.sim_elapsed_us);
-            assert_eq!(a.tick_dt_hist, b.tick_dt_hist);
-        }
-        // A re-execute in either mode is a pure cache hit.
-        let again = engine.execute_batched(&plan, 1);
-        assert!(Arc::ptr_eq(
-            &batched.get_arc(ids[0]),
-            &again.get_arc(ids[0])
-        ));
     }
 
     #[test]

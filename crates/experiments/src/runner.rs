@@ -100,9 +100,7 @@ impl PolicyKind {
             PolicyKind::LinuxO1 => Box::new(linux_o1()),
             PolicyKind::ModelDriven => Box::new(ModelDrivenScheduler::new()),
             PolicyKind::Stack(spec) => Box::new(spec.build()),
-            PolicyKind::OfflineOptimal => {
-                Box::new(busbw_core::FixedPlanScheduler::new(Vec::new()))
-            }
+            PolicyKind::OfflineOptimal => Box::new(busbw_core::FixedPlanScheduler::new(Vec::new())),
         }
     }
 }
@@ -407,10 +405,9 @@ pub fn run_spec_profiled(
 }
 
 /// A run built and wired (machine, workload, tracer, scheduler) but not
-/// yet driven: the unit the batched sweep engine advances in lockstep
-/// through the machine's stepped API ([`busbw_sim::Machine::run_begin`]).
-/// Serial callers go through [`run_spec`], which drives the same
-/// preparation to completion in one call.
+/// yet driven. [`run_spec`] drives it to completion in one call; the
+/// oracle (see [`crate::regret`]) drives fresh instances under recorded
+/// and fixed decision plans.
 pub struct PreparedRun {
     pub(crate) machine: busbw_sim::Machine,
     pub(crate) sched: Box<dyn Scheduler>,
@@ -440,8 +437,7 @@ impl PreparedRun {
 
 /// Build the machine, workload, tracer, and scheduler for one run
 /// without driving it. [`finalize_run`] folds the finished machine into
-/// a [`RunResult`]; `prepare → drive → finalize` is bit-identical to
-/// [`run_spec`] however the drive is interleaved with other runs.
+/// a [`RunResult`].
 pub(crate) fn prepare_run(
     spec: &WorkloadSpec,
     policy: PolicyKind,
@@ -474,7 +470,8 @@ pub(crate) fn prepare_run(
 }
 
 /// Fold a driven run into its [`RunResult`] (censoring, rates, memo and
-/// tick accounting). Shared verbatim by the serial and batched paths.
+/// tick accounting). Shared by [`run_spec`], [`run_spec_profiled`] and
+/// the oracle.
 pub(crate) fn finalize_run(p: PreparedRun, out: busbw_sim::RunOutcome) -> RunResult {
     let PreparedRun {
         machine,

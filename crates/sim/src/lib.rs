@@ -48,11 +48,10 @@ pub mod stage;
 pub mod stats;
 pub mod testkit;
 pub mod thread;
-pub mod trace;
 
 pub use bus::{
-    solve_lambda, BatchSolver, BusModel, BusOutcome, BusRequest, BusShare, FsbBus, HierarchicalBus,
-    LevelOutcome, MaxMinFairBus, ProportionalBus, SolveJob, UnlimitedBus, MAX_BUS_LEVELS,
+    solve_lambda, BusModel, BusOutcome, BusRequest, BusShare, FsbBus, HierarchicalBus,
+    LevelOutcome, MaxMinFairBus, ProportionalBus, UnlimitedBus, MAX_BUS_LEVELS,
 };
 pub use cache::{CacheConfig, CacheState};
 pub use config::{
@@ -63,10 +62,9 @@ pub use demand::{ConstantDemand, Demand, DemandModel};
 pub use ids::{AppId, CpuId, SimTime, ThreadId};
 pub use machine::{
     AppDescriptor, AppInfo, AppReport, Assignment, AuditHook, Decision, ExecMode, Machine,
-    MachineView, RunCursor, RunOutcome, Scheduler, StepEvent, StopCondition, ThreadInfo,
+    MachineView, RunOutcome, Scheduler, StopCondition, ThreadInfo,
 };
 pub use prof::{Phase, PhaseSet, PhaseStat, PhaseTimer, PHASE_BUCKET_BOUNDS_NS};
 pub use stage::{StageSnapshot, StageTiming, StageTimings, STAGE_BUCKET_BOUNDS_NS, STAGE_NAMES};
 pub use stats::{BusPressureStats, LevelPressureStats, RunStats, TickDtHist};
 pub use thread::{ThreadSpec, ThreadState};
-pub use trace::{QuantumRecord, ScheduleTrace, Traced};

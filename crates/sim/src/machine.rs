@@ -23,7 +23,7 @@
 use busbw_perfmon::{EventKind, Registry};
 use busbw_trace::{EventBus, TraceEvent};
 
-use crate::bus::{BusModel, BusOutcome, BusRequest, LevelOutcome, SolveJob, MAX_BUS_LEVELS};
+use crate::bus::{BusModel, BusOutcome, BusRequest, LevelOutcome, MAX_BUS_LEVELS};
 use crate::cache::CacheState;
 use crate::config::MachineConfig;
 use crate::ids::{AppId, CpuId, SimTime, ThreadId};
@@ -571,60 +571,6 @@ fn guard_edge(edge: f64) -> f64 {
     }
 }
 
-/// Loop state of a stepped run (see [`Machine::run_begin`]).
-///
-/// Opaque to drivers: park it between [`Machine::run_step`] calls and
-/// read [`RunCursor::pending_requests`] while a solve is outstanding.
-#[derive(Debug)]
-pub struct RunCursor {
-    stop: StopCondition,
-    stats: RunStats,
-    started_at: SimTime,
-    cap_at: SimTime,
-    next_resched: SimTime,
-    sample_period: Option<u64>,
-    next_sample: Option<SimTime>,
-    resched_requested: bool,
-    pending: Option<PendingTick>,
-}
-
-impl RunCursor {
-    /// The bus requests of the tick parked behind a
-    /// [`StepEvent::NeedSolve`] — the solver lane's input vector.
-    ///
-    /// # Panics
-    /// Panics if no solve is pending.
-    pub fn pending_requests(&self) -> &[BusRequest] {
-        &self.pending.as_ref().expect("no solve pending").s.reqs
-    }
-}
-
-/// A prepared tick parked while its Λ solve runs out-of-line.
-#[derive(Debug)]
-struct PendingTick {
-    s: Box<TickScratch>,
-    dt_limit: u64,
-}
-
-/// Why [`Machine::run_step`] returned control.
-//
-// `Done` carries the whole `RunOutcome` (whose `RunStats` now embeds the
-// fixed per-level arrays) by value: exactly one `StepEvent` is live per
-// stepped run, so the size gap to `NeedSolve` costs nothing, while boxing
-// would put an allocation on every run completion.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum StepEvent {
-    /// The run hit a saturated-bus tick whose Λ the bus model memo could
-    /// not answer: solve for [`RunCursor::pending_requests`] with these
-    /// parameters (any way that is bit-equal to
-    /// [`crate::bus::solve_lambda`]) and resume with
-    /// [`Machine::run_step_complete`].
-    NeedSolve(SolveJob),
-    /// The run finished; the cursor is spent.
-    Done(RunOutcome),
-}
-
 /// The simulated SMP.
 ///
 /// Thread and application IDs are handed out sequentially from 0, so both
@@ -644,8 +590,8 @@ pub struct Machine {
     /// phases over an interval (Λ̄ = Δintegral / Δt).
     dilation_integral: f64,
     /// Reusable per-tick buffers, boxed so moving them in and out of a
-    /// tick (or a parked [`PendingTick`]) is a pointer swap rather than a
-    /// structural copy. `None` only while a tick is in flight.
+    /// tick is a pointer swap rather than a structural copy. `None` only
+    /// while a tick is in flight.
     scratch: Option<Box<TickScratch>>,
     /// Indices into `apps` of applications with a barrier interval — the
     /// only ones the per-tick barrier-cap pass must visit.
@@ -899,98 +845,42 @@ impl Machine {
     /// is recorded even if `apply` rejects it) and every tick's issued bus
     /// traffic. With `hook = None` this *is* `run`: the only overhead is
     /// one `Option` branch per decision and per tick.
-    ///
-    /// Implemented on top of the stepped API ([`Machine::run_begin`] /
-    /// [`Machine::run_step`] / [`Machine::run_step_complete`]) so the
-    /// serial path and the batched engine drive the *same* loop — any
-    /// drift between them would be a compile error, not a silent
-    /// divergence.
     pub fn run_audited(
         &mut self,
         sched: &mut dyn Scheduler,
         stop: StopCondition,
         mut hook: Option<&mut (dyn AuditHook + '_)>,
     ) -> RunOutcome {
-        let mut cur = self.run_begin(sched, stop, hook.is_some());
-        loop {
-            match self.run_step(sched, &mut cur, hook.as_deref_mut()) {
-                StepEvent::NeedSolve(job) => {
-                    let tok = self.prof.begin();
-                    let lambda =
-                        crate::bus::solve_lambda(cur.pending_requests(), job.cap, job.warm);
-                    self.prof.end(Phase::Solve, tok);
-                    self.run_step_complete(&mut cur, lambda, hook.as_deref_mut());
-                }
-                StepEvent::Done(out) => return out,
-            }
-        }
-    }
-
-    /// Start a stepped run: the cursor carries all loop state between
-    /// [`Machine::run_step`] calls, so many machines can be advanced in
-    /// lockstep by one driver (the batched sweep engine).
-    pub fn run_begin(
-        &mut self,
-        sched: &mut dyn Scheduler,
-        stop: StopCondition,
-        introspect: bool,
-    ) -> RunCursor {
         sched.attach_tracer(&self.tracer);
-        sched.set_introspect(introspect);
+        sched.set_introspect(hook.is_some());
+        let mut stats = RunStats::default();
         let started_at = self.now;
-        RunCursor {
-            stop,
-            stats: RunStats::default(),
-            started_at,
-            cap_at: started_at.saturating_add(self.hard_cap_us),
-            next_resched: self.now, // schedule immediately
-            sample_period: None,
-            next_sample: None,
-            resched_requested: false,
-            pending: None,
-        }
-    }
+        let cap_at = started_at.saturating_add(self.hard_cap_us);
+        let mut next_resched = self.now; // schedule immediately
+        let mut sample_period: Option<u64> = None;
+        let mut next_sample: Option<SimTime> = None;
+        let mut resched_requested = false;
 
-    /// Advance the run until it either finishes or hits a tick whose bus
-    /// arbitration needs an iterative Λ solve. In the latter case the
-    /// prepared tick parks in the cursor and `NeedSolve` carries the
-    /// [`SolveJob`]; obtain λ (via [`crate::bus::solve_lambda`] or a
-    /// [`crate::bus::BatchSolver`] lane over
-    /// [`RunCursor::pending_requests`]) and resume with
-    /// [`Machine::run_step_complete`].
-    ///
-    /// # Panics
-    /// Panics if a previous `NeedSolve` has not been completed.
-    pub fn run_step(
-        &mut self,
-        sched: &mut dyn Scheduler,
-        cur: &mut RunCursor,
-        mut hook: Option<&mut (dyn AuditHook + '_)>,
-    ) -> StepEvent {
-        assert!(
-            cur.pending.is_none(),
-            "run_step called with an unresolved solve pending"
-        );
-        loop {
-            if self.stop_met(&cur.stop) {
-                return StepEvent::Done(self.finish_run(cur, true));
+        let condition_met = loop {
+            if self.stop_met(&stop) {
+                break true;
             }
-            if self.now >= cur.cap_at {
-                return StepEvent::Done(self.finish_run(cur, false));
+            if self.now >= cap_at {
+                break false;
             }
 
             // Sampling fires before rescheduling so a sample landing on the
             // quantum boundary (the paper's second sample per quantum) is
             // visible to the scheduling decision it precedes.
-            if let (Some(ns), Some(p)) = (cur.next_sample, cur.sample_period) {
+            if let (Some(ns), Some(p)) = (next_sample, sample_period) {
                 if self.now >= ns {
                     sched.on_sample(&self.view());
-                    cur.stats.sample_calls += 1;
-                    cur.next_sample = Some(self.now + p.max(self.cfg.tick_us));
+                    stats.sample_calls += 1;
+                    next_sample = Some(self.now + p.max(self.cfg.tick_us));
                 }
             }
 
-            if self.now >= cur.next_resched || cur.resched_requested {
+            if self.now >= next_resched || resched_requested {
                 let tok = self.prof.begin();
                 let decision = sched.schedule(&self.view());
                 assert!(
@@ -1000,77 +890,43 @@ impl Machine {
                 if let Some(h) = hook.as_deref_mut() {
                     h.on_decision(&self.view(), &decision, sched.stage_snapshot());
                 }
-                self.apply(&decision, &mut cur.stats);
+                self.apply(&decision, &mut stats);
                 self.prof.end(Phase::Schedule, tok);
-                cur.stats.schedule_calls += 1;
-                cur.next_resched = self.now + decision.next_resched_in_us;
-                cur.sample_period = decision.sample_period_us;
-                cur.next_sample = cur
-                    .sample_period
-                    .map(|p| self.now + p.max(self.cfg.tick_us));
-                cur.resched_requested = false;
+                stats.schedule_calls += 1;
+                next_resched = self.now + decision.next_resched_in_us;
+                sample_period = decision.sample_period_us;
+                next_sample = sample_period.map(|p| self.now + p.max(self.cfg.tick_us));
+                resched_requested = false;
             }
 
             // The window until the next timer (reschedule, sample, timed
             // stop, hard cap). A tick never crosses it; within it the
             // machine is free to coarsen — advance multiple nominal ticks
             // in one jump — when the tick's inputs are provably static.
-            let mut dt_limit = cur.next_resched.saturating_sub(self.now).max(1);
-            if let Some(ns) = cur.next_sample {
+            let mut dt_limit = next_resched.saturating_sub(self.now).max(1);
+            if let Some(ns) = next_sample {
                 dt_limit = dt_limit.min(ns.saturating_sub(self.now).max(1));
             }
-            if let StopCondition::At(t) = cur.stop {
+            if let StopCondition::At(t) = stop {
                 dt_limit = dt_limit.min(t.saturating_sub(self.now).max(1));
             }
-            dt_limit = dt_limit.min(cur.cap_at.saturating_sub(self.now).max(1));
+            dt_limit = dt_limit.min(cap_at.saturating_sub(self.now).max(1));
 
             // The scratch is moved out for the duration of the tick so the
             // borrow checker sees the buffers and `self` as disjoint; the
             // box makes the move a pointer swap.
             let mut s = self.scratch.take().expect("tick scratch in flight");
-            match self.tick_prepare(dt_limit, &mut cur.stats, &mut s) {
-                Some(job) => {
-                    cur.pending = Some(PendingTick { s, dt_limit });
-                    return StepEvent::NeedSolve(job);
-                }
-                None => {
-                    let app_finished =
-                        self.tick_commit(dt_limit, &mut cur.stats, &mut s, hook.as_deref_mut());
-                    self.scratch = Some(s);
-                    if app_finished {
-                        cur.resched_requested = true;
-                    }
-                }
+            self.tick_prepare(dt_limit, &mut stats, &mut s);
+            if self.tick_commit(dt_limit, &mut stats, &mut s, hook.as_deref_mut()) {
+                resched_requested = true;
             }
-        }
-    }
-
-    /// Complete the solve a [`StepEvent::NeedSolve`] asked for and commit
-    /// the parked tick. `lambda_sat` must be bit-equal to
-    /// [`crate::bus::solve_lambda`] on the pending job — a
-    /// [`crate::bus::BatchSolver`] lane satisfies this by construction.
-    pub fn run_step_complete(
-        &mut self,
-        cur: &mut RunCursor,
-        lambda_sat: f64,
-        hook: Option<&mut (dyn AuditHook + '_)>,
-    ) {
-        let mut p = cur.pending.take().expect("no solve pending");
-        self.bus
-            .finish_solve(&p.s.reqs, lambda_sat, &mut p.s.outcome);
-        let app_finished = self.tick_commit(p.dt_limit, &mut cur.stats, &mut p.s, hook);
-        self.scratch = Some(p.s);
-        if app_finished {
-            cur.resched_requested = true;
-        }
-    }
-
-    fn finish_run(&mut self, cur: &mut RunCursor, condition_met: bool) -> RunOutcome {
-        cur.stats.elapsed_us = self.now - cur.started_at;
+            self.scratch = Some(s);
+        };
+        stats.elapsed_us = self.now - started_at;
         RunOutcome {
             stopped_at: self.now,
             condition_met,
-            stats: std::mem::take(&mut cur.stats),
+            stats,
         }
     }
 
@@ -1160,18 +1016,9 @@ impl Machine {
     }
 
     /// First half of a tick: build the bus-request vector (replaying the
-    /// cached build when provably unchanged) and start arbitration.
-    /// Returns `Some(job)` when the bus needs an out-of-line Λ solve —
-    /// complete it (bit-equal to [`crate::bus::solve_lambda`]), feed λ to
-    /// [`crate::bus::BusModel::finish_solve`], then call
-    /// [`Machine::tick_commit`]. Returns `None` when arbitration finished
-    /// inline (memo hit, unsaturated, or idle).
-    fn tick_prepare(
-        &mut self,
-        dt_limit: u64,
-        stats: &mut RunStats,
-        s: &mut TickScratch,
-    ) -> Option<SolveJob> {
+    /// cached build when provably unchanged) and arbitrate it into
+    /// `s.outcome`.
+    fn tick_prepare(&mut self, dt_limit: u64, stats: &mut RunStats, s: &mut TickScratch) {
         stats.ticks += 1;
         let n_threads = self.threads.len();
         let trace_on = self.tracer.emits();
@@ -1229,9 +1076,9 @@ impl Machine {
             if replayed {
                 self.replay_ticks += 1;
                 let tok = self.prof.begin();
-                let job = self.bus.begin(&s.reqs, &mut s.outcome);
+                self.bus.arbitrate_into(&s.reqs, &mut s.outcome);
                 self.prof.end(Phase::Solve, tok);
-                return job;
+                return;
             }
         }
 
@@ -1366,9 +1213,8 @@ impl Machine {
         self.prof.end(Phase::Demand, tok);
 
         let tok = self.prof.begin();
-        let job = self.bus.begin(&s.reqs, &mut s.outcome);
+        self.bus.arbitrate_into(&s.reqs, &mut s.outcome);
         self.prof.end(Phase::Solve, tok);
-        job
     }
 
     /// Attempt the event-driven fast path: verify each snapshot guard and

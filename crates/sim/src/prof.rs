@@ -49,7 +49,7 @@ pub enum Phase {
     /// and the request-vector build (full path only).
     Demand = 4,
     /// Bus arbitration: the memo probe and, on a miss, the saturated-Λ
-    /// Newton solve (inline or out-of-line via a solver lane).
+    /// Newton solve. One call per tick.
     Solve = 5,
     /// Tick commit: coarsening-window scan, progress integration, cache
     /// advance, bus accounting, and completion detection.
