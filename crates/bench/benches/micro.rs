@@ -148,9 +148,9 @@ fn bench_prof(c: &mut Criterion) {
             t.end(black_box(Phase::Solve), tok);
         })
     });
-    // The enabled cost: two clock reads plus a histogram bucket — the
-    // constant every attributed phase carries, reported so profile tables
-    // can be read with the skew in mind.
+    // The enabled cost: two clock reads plus two adds — the constant
+    // every attributed phase carries, reported so per-phase totals can be
+    // read with the skew in mind.
     g.bench_function("phase_timer_enabled_pair", |b| {
         let mut t = PhaseTimer::new();
         t.set_enabled(true);

@@ -394,8 +394,9 @@ pub(crate) fn encode_machine(e: &mut Enc, m: &MachineConfig) {
 /// runs with different wiring must never share a cache entry.
 pub(crate) fn encode_trace_mode(e: &mut Enc, t: TraceMode) {
     e.u8(match t {
+        // Tag 1 belonged to a retired null-sink mode; the surviving tags
+        // keep their values so no run key changes.
         TraceMode::Off => 0,
-        TraceMode::Null => 1,
         TraceMode::Collect => 2,
     });
 }

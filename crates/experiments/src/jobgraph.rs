@@ -363,20 +363,6 @@ impl ExecStats {
         }
     }
 
-    /// Stats accumulated since an earlier snapshot of the same engine
-    /// (e.g. the warm pass of `bench sweep`).
-    pub fn since(&self, earlier: &ExecStats) -> ExecStats {
-        ExecStats {
-            declared: self.declared - earlier.declared,
-            unique: self.unique - earlier.unique,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            cache_corrupt: self.cache_corrupt - earlier.cache_corrupt,
-            executed: self.executed - earlier.executed,
-            steals: self.steals - earlier.steals,
-        }
-    }
-
     /// Record these stats into a metrics registry under the engine's
     /// counter namespace (`cells.*`, `cache.*`, `pool.*`).
     pub fn record(&self, reg: &mut busbw_metrics::MetricsRegistry) {

@@ -72,7 +72,7 @@ pub use regret::{
 };
 pub use robustness::robustness;
 pub use runner::{
-    collect_metrics, effective_workers, merge_traces, par_map, run_spec, run_spec_profiled,
+    collect_metrics, effective_workers, merge_traces, run_spec, run_spec_profiled,
     solo_turnaround_us, PolicyKind, RunCompletion, RunResult, RunnerConfig, TraceMode,
     UnfinishedApp,
 };

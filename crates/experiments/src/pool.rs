@@ -4,10 +4,10 @@
 //! chunked shared-index stealing: the item range is split into one
 //! contiguous chunk per worker, each chunk is drained through its own
 //! atomic cursor, and a worker whose chunk runs dry pulls from the other
-//! chunks round-robin. Compared to the single global cursor of
-//! [`crate::runner::par_map`], ownership keeps most claims uncontended
-//! while stealing still guarantees no worker idles before the batch is
-//! done — and the steal counter makes the load imbalance observable.
+//! chunks round-robin. Compared to a single global cursor, ownership
+//! keeps most claims uncontended while stealing still guarantees no
+//! worker idles before the batch is done — and the steal counter makes
+//! the load imbalance observable.
 //!
 //! Results come back in input order, so the output is **bit-identical**
 //! to a serial map for any worker count; parallelism and stealing only

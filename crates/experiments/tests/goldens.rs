@@ -1,7 +1,8 @@
 //! Byte-for-byte goldens for the figure families that `results/` does not
 //! pin at full scale: the three `topo` panels (the only figures whose
 //! cells run the multi-socket `HierarchicalBus`), `ablate-stages` and the
-//! open-system `open` figure.
+//! open-system `open` figure; plus the tick and simulated-time counts of
+//! a fixed four-cell slice.
 //!
 //! The files under `results/golden-0.1/` are what
 //! `experiments topo|ablate --stages|open --scale 0.1` writes (default
@@ -14,9 +15,13 @@
 use std::path::PathBuf;
 
 use busbw_experiments::open::{SHORT_DURATION_US, SMALL_RATE_PER_S};
-use busbw_experiments::{ablate_stages, open_tail_latency, topo_panel, RunnerConfig, TOPO_SHAPES};
+use busbw_experiments::{
+    ablate_stages, open_tail_latency, run_spec, topo_panel, PolicyKind, RunnerConfig, TOPO_SHAPES,
+};
 use busbw_managerd::ArrivalProcess;
 use busbw_metrics::{FigureSummary, Table};
+use busbw_workloads::mix::{fig1_solo, fig1_with_bbma, fig2_set_a, fig2_set_b};
+use busbw_workloads::paper::PaperApp;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/golden-0.1")
@@ -76,4 +81,48 @@ fn open_figure_matches_golden() {
     // `open_tail_latency` is `plan_open` + `fold_open` at the CLI's
     // default accept-queue depth, on a throwaway engine.
     assert_matches_golden(&open_tail_latency(&rc(), arrivals, SHORT_DURATION_US));
+}
+
+/// The simulated work of a fixed four-cell slice — a coarsenable solo
+/// run, a saturated mix, and two time-shared Fig. 2 sets — at scale 0.1,
+/// seed 42. Tick counts and simulated time are host-independent, so any
+/// drift means the simulation itself changed (host time is measured by
+/// `perfbench`, not here).
+#[test]
+fn tick_slice_counts_are_pinned() {
+    let cells = [
+        (fig1_solo(PaperApp::Cg), PolicyKind::Linux, 2_792, 701_800),
+        (
+            fig1_with_bbma(PaperApp::Cg),
+            PolicyKind::Linux,
+            9_548,
+            1_519_700,
+        ),
+        (
+            fig2_set_a(PaperApp::Mg),
+            PolicyKind::Window,
+            24_777,
+            2_477_700,
+        ),
+        (
+            fig2_set_b(PaperApp::Raytrace),
+            PolicyKind::Latest,
+            13_699,
+            1_369_900,
+        ),
+    ];
+    let (mut ticks, mut sim_us) = (0, 0);
+    for (spec, policy, want_ticks, want_sim_us) in cells {
+        let r = run_spec(&spec, policy, &rc());
+        assert_eq!(
+            (r.ticks, r.sim_elapsed_us),
+            (want_ticks, want_sim_us),
+            "{} under {}: (ticks, simulated µs)",
+            spec.name,
+            policy.label()
+        );
+        ticks += r.ticks;
+        sim_us += r.sim_elapsed_us;
+    }
+    assert_eq!((ticks, sim_us), (50_816, 6_069_100));
 }

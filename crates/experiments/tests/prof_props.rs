@@ -2,8 +2,10 @@
 //! indistinguishable, under the run codec, from the same run with the
 //! profiler off. The `PhaseTimer` only reads wall clocks, so nothing it
 //! does may leak into simulation state — this is the property that lets
-//! `bench profile` attribute nanoseconds to the *production* tick path
-//! rather than to an instrumented variant of it.
+//! the benchmark's `sim.phase.*` metrics attribute nanoseconds to the
+//! *production* tick path rather than to an instrumented variant of it.
+//! The runs collect a trace, so the timed trace-emission sites run too
+//! and the collected events are compared as part of the codec bytes.
 //!
 //! Mechanical timer semantics (nesting, re-entrancy, zero-duration
 //! phases, disabled cost) are unit-tested in `busbw-sim::prof`.
@@ -65,7 +67,7 @@ proptest! {
         let rc = RunnerConfig {
             scale: 0.05,
             seed,
-            trace: TraceMode::Null,
+            trace: TraceMode::Collect,
             ..RunnerConfig::default()
         };
         let policy = PolicyKind::Stack(stack);
