@@ -23,11 +23,15 @@
 //! evaluator. It answers the question the heuristics cannot: what is the
 //! best turnaround any clairvoyant schedule could have achieved on this
 //! instance? Every preset stack can then be scored by *regret* against
-//! that ceiling (see `experiments regret`). The search replays candidate
-//! decision prefixes from t = 0 through [`FixedPlanScheduler`] (the
-//! machine is deterministic, so replay is exact), prunes with an
-//! admissible no-contention lower bound, and skips permutations of
-//! caller-declared symmetric gangs. Heuristic decision logs recorded with
+//! that ceiling (see `experiments regret`). The search keeps a cloned
+//! [`Machine`] snapshot per pending node and evaluates a child by running
+//! its parent's snapshot forward through exactly one more decision
+//! ([`advance`]); a clone run forward is bit-identical to the original
+//! run forward, so this visits the same tree as replaying every prefix
+//! from t = 0 ([`simulate`], the reference) at O(1) instead of O(depth)
+//! simulated quanta per node. It prunes with an admissible
+//! no-contention lower bound and skips permutations of caller-declared
+//! symmetric gangs. Heuristic decision logs recorded with
 //! [`RecordingScheduler`] seed the incumbent, which makes the reported
 //! optimum structurally ≤ every seeded heuristic.
 
@@ -230,11 +234,12 @@ impl BranchState {
 /// Replays a fixed list of [`Decision`]s verbatim, then idles.
 ///
 /// The machine is deterministic, so replaying a recorded decision prefix
-/// from t = 0 reproduces the exact same trajectory — this is how the
-/// search evaluates candidate schedules without cloning machines. When
-/// the plan runs out mid-run the scheduler snapshots a [`BranchState`]
-/// (available via [`FixedPlanScheduler::take_branch_state`]) and returns
-/// an idle decision of [`ORACLE_IDLE_SENTINEL_US`], letting the machine
+/// from t = 0 reproduces the exact same trajectory — this is how seeds,
+/// the reference [`simulate`] and the final replay of the winning plan
+/// evaluate whole schedules. When the plan runs out mid-run the scheduler
+/// snapshots a [`BranchState`] (available via
+/// [`FixedPlanScheduler::take_branch_state`]) and returns an idle
+/// decision of [`ORACLE_IDLE_SENTINEL_US`], letting the machine
 /// fast-forward to its hard cap.
 pub struct FixedPlanScheduler {
     plan: Vec<Decision>,
@@ -389,8 +394,50 @@ fn lower_bound_us(state: &BranchState, measured: &[AppId], cfg: &OracleSearchCon
     lb
 }
 
+/// Run `machine` forward through one more decision and classify where it
+/// stops: a [`SimNode::Leaf`] if every measured app finished, a
+/// [`SimNode::Branch`] if it reached its next reschedule point before the
+/// horizon (the machine is left there, ready for the children), else
+/// [`SimNode::Censored`]. With `decision = None` it runs to the first
+/// reschedule point without deciding anything — the search root.
+///
+/// The horizon is absolute simulated time (machines start at t = 0): the
+/// hard cap is reset to `horizon − now`, so a chain of `advance` calls
+/// stops on the same boundary as one replay of the whole plan through
+/// [`simulate`], and yields the same node bit for bit.
+pub fn advance(
+    machine: &mut Machine,
+    measured: &[AppId],
+    decision: Option<Decision>,
+    cfg: &OracleSearchConfig,
+) -> SimNode {
+    machine.set_hard_cap_us(cfg.horizon_us.saturating_sub(machine.now()));
+    let plan: Vec<Decision> = decision.into_iter().collect();
+    let stop = StopCondition::AppsFinishedOrDecisions(measured.to_vec(), plan.len() as u64);
+    let out = machine.run(&mut FixedPlanScheduler::new(plan), stop);
+    if out.condition_met {
+        SimNode::Leaf {
+            cost_us: censored_cost_us(machine, measured, out.stopped_at),
+        }
+    } else if out.stopped_at < cfg.horizon_us {
+        let state = BranchState::capture(&machine.view());
+        let lb = lower_bound_us(&state, measured, cfg);
+        SimNode::Branch {
+            state,
+            lower_bound_us: lb,
+        }
+    } else {
+        SimNode::Censored {
+            cost_us: censored_cost_us(machine, measured, out.stopped_at),
+        }
+    }
+}
+
 /// Evaluate one candidate plan on a fresh machine: replay it from t = 0,
 /// classify the outcome. Sets the machine's hard cap to the horizon.
+///
+/// The search evaluates seeds this way; tree nodes go through
+/// [`advance`], which this function is the bit-exact reference for.
 pub fn simulate(
     mut machine: Machine,
     measured: &[AppId],
@@ -582,13 +629,16 @@ fn search(
         }
     }
 
-    let mut stack: Vec<(Vec<Decision>, BranchState)> = Vec::new();
+    // Each pending node carries its decision prefix, the machine snapshot
+    // at its branch point, and the branch state captured there.
+    let mut stack: Vec<(Vec<Decision>, Machine, BranchState)> = Vec::new();
     if report.nodes >= cfg.node_budget {
         report.complete = false;
         return report;
     }
     report.nodes += 1;
-    match simulate(build(), measured, &[], cfg) {
+    let mut root = build();
+    match advance(&mut root, measured, None, cfg) {
         SimNode::Leaf { cost_us } | SimNode::Censored { cost_us } => {
             report.leaves += 1;
             report.root_lower_bound_us = cost_us;
@@ -603,22 +653,30 @@ fn search(
             lower_bound_us,
         } => {
             report.root_lower_bound_us = lower_bound_us;
-            stack.push((Vec::new(), state));
+            stack.push((Vec::new(), root, state));
         }
     }
 
-    'dfs: while let Some((plan, state)) = stack.pop() {
+    'dfs: while let Some((plan, machine, state)) = stack.pop() {
         let kids = branch_decisions(&state, cfg, sym_classes, &mut report.sym_prunes);
+        let last = kids.len().saturating_sub(1);
+        // The last child takes the parent's snapshot instead of a clone.
+        let mut parent = Some(machine);
         let mut pending = Vec::new();
-        for d in kids {
+        for (i, d) in kids.into_iter().enumerate() {
             if report.nodes >= cfg.node_budget {
                 report.complete = false;
                 break 'dfs;
             }
             report.nodes += 1;
+            let mut child = if i == last {
+                parent.take().expect("parent snapshot")
+            } else {
+                parent.as_ref().expect("parent snapshot").clone()
+            };
             let mut child_plan = plan.clone();
-            child_plan.push(d);
-            match simulate(build(), measured, &child_plan, cfg) {
+            child_plan.push(d.clone());
+            match advance(&mut child, measured, Some(d), cfg) {
                 SimNode::Leaf { cost_us } | SimNode::Censored { cost_us } => {
                     report.leaves += 1;
                     if cost_us < report.best_cost_us {
@@ -634,7 +692,7 @@ fn search(
                     if prune && lower_bound_us >= report.best_cost_us {
                         report.bound_prunes += 1;
                     } else {
-                        pending.push((child_plan, state));
+                        pending.push((child_plan, child, state));
                     }
                 }
             }
@@ -651,13 +709,17 @@ fn search(
 
 /// Branch-and-bound search for the offline-optimal gang schedule.
 ///
-/// `build` must construct the *same* machine every call (the search
-/// replays candidate prefixes on fresh instances); `measured` lists the
-/// apps whose total turnaround is the objective; `seeds` are recorded
-/// heuristic decision logs (see [`RecordingScheduler`]) evaluated first
-/// as incumbents; `sym_classes` lists groups of gangs the caller asserts
-/// are bit-identical at t = 0 — the search then explores only one
-/// representative of each permutation while the gangs are unstarted.
+/// `build` must construct the *same* machine, at t = 0, every call (seeds
+/// replay on fresh instances, and the tree grows from one more);
+/// `measured` lists the apps whose total turnaround is the objective;
+/// `seeds` are recorded heuristic decision logs (see
+/// [`RecordingScheduler`]) evaluated first as incumbents; `sym_classes`
+/// lists groups of gangs the caller asserts are bit-identical at t = 0 —
+/// the search then explores only one representative of each permutation
+/// while the gangs are unstarted.
+///
+/// Pass untraced machines: tree nodes are clones of one another, and a
+/// cloned machine shares its original's trace sink.
 ///
 /// With infinite-work *measured* gangs every path is censored at the
 /// horizon and the tree is deep; provide seeds so bound pruning can bite,
@@ -939,20 +1001,104 @@ mod tests {
         }
     }
 
+    /// Bit-exact fingerprint of a search node: every `BranchState` field
+    /// and the lower bound, f64s by `to_bits`.
+    fn fingerprint(node: &SimNode) -> String {
+        use std::fmt::Write;
+        match node {
+            SimNode::Leaf { cost_us } => format!("leaf {cost_us}"),
+            SimNode::Censored { cost_us } => format!("censored {cost_us}"),
+            SimNode::Branch {
+                state,
+                lower_bound_us,
+            } => {
+                let mut s = format!(
+                    "branch lb={lower_bound_us} now={} cpus={}",
+                    state.now, state.num_cpus
+                );
+                for g in &state.gangs {
+                    write!(s, " | {} {} {:?}", g.app, g.arrived_at, g.finished_at).unwrap();
+                    for t in &g.threads {
+                        write!(
+                            s,
+                            " {} {} {:?} {:x} {}",
+                            t.id,
+                            t.runnable,
+                            t.last_cpu,
+                            t.remaining_us.to_bits(),
+                            t.started
+                        )
+                        .unwrap();
+                    }
+                }
+                s
+            }
+        }
+    }
+
+    /// A measured finite gang beside a run-forever one: paths that starve
+    /// the finite gang are censored at the horizon.
+    fn background_instance() -> (Machine, Vec<AppId>) {
+        let mut m = Machine::new(XEON_4WAY);
+        let fg = add_finite(&mut m, "fg", 2, 1.0, 120_000.0);
+        let _bg = add(&mut m, "bg", 2, 6.0);
+        (m, vec![fg])
+    }
+
+    #[test]
+    fn advancing_a_snapshot_matches_replay_from_zero() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        type Build = fn() -> (Machine, Vec<AppId>);
+        // The second horizon is off the quantum grid, so a hard cap that
+        // drifted with `now` would censor on a different boundary.
+        let cases: [(Build, OracleSearchConfig); 2] = [
+            (small_instance, small_cfg()),
+            (
+                background_instance,
+                OracleSearchConfig::new(100_000, 250_000),
+            ),
+        ];
+        let mut ends = std::collections::BTreeSet::new();
+        for (build, cfg) in cases {
+            let measured = build().1;
+            for seed in 0..8u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut machine = build().0;
+                let mut plan = Vec::new();
+                let mut node = advance(&mut machine, &measured, None, &cfg);
+                assert_eq!(
+                    fingerprint(&node),
+                    fingerprint(&simulate(build().0, &measured, &plan, &cfg)),
+                    "root, seed {seed}"
+                );
+                while let SimNode::Branch { state, .. } = &node {
+                    let kids = branch_decisions(state, &cfg, &[], &mut 0);
+                    let d = kids[rng.gen_range(0..kids.len())].clone();
+                    plan.push(d.clone());
+                    node = advance(&mut machine, &measured, Some(d), &cfg);
+                    let replayed = simulate(build().0, &measured, &plan, &cfg);
+                    assert_eq!(
+                        fingerprint(&node),
+                        fingerprint(&replayed),
+                        "depth {}, seed {seed}",
+                        plan.len()
+                    );
+                }
+                assert!(plan.len() >= 2, "seed {seed}: path too shallow to test");
+                ends.insert(fingerprint(&node).split(' ').next().unwrap().to_owned());
+            }
+        }
+        assert_eq!(ends.len(), 2, "paths never ended both ways: {ends:?}");
+    }
+
     #[test]
     fn infinite_background_gang_does_not_hang_the_search() {
         // A run-forever gang shares the machine; only the finite gang is
         // measured, so leaves still exist and the search terminates.
-        let build = || {
-            let mut m = Machine::new(XEON_4WAY);
-            let fg = add_finite(&mut m, "fg", 2, 1.0, 120_000.0);
-            let _bg = add(&mut m, "bg", 2, 6.0);
-            (m, vec![fg])
-        };
         let mut cfg = OracleSearchConfig::new(100_000, 1_000_000);
         cfg.node_budget = 3_000;
-        let measured = build().1;
-        let r = offline_optimal(&mut || build().0, &measured, &cfg, &[], &[]);
+        let measured = background_instance().1;
+        let r = offline_optimal(&mut || background_instance().0, &measured, &cfg, &[], &[]);
         assert!(r.leaves > 0);
         assert!(r.best_cost_us >= 120_000 && r.best_cost_us < u64::MAX);
         assert!(r.root_lower_bound_us <= r.best_cost_us);

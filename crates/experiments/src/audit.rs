@@ -625,9 +625,11 @@ pub fn run_audit(cfg: &AuditConfig) -> i32 {
     }
 
     if cfg.fuzz > 0 {
-        let oracle_cells = cfg.fuzz.min(3) as u64;
-        println!("\noracle-admissibility differential: {oracle_cells} tiny cells");
-        for i in 0..oracle_cells {
+        println!(
+            "\noracle-admissibility differential: {} tiny cells",
+            cfg.fuzz
+        );
+        for i in 0..cfg.fuzz as u64 {
             let mix: Vec<_> = fuzz_cell(cfg.seed, i, cfg.scale)
                 .mix
                 .into_iter()

@@ -385,6 +385,35 @@ mod tests {
         );
     }
 
+    /// The search's traversal, pinned per regret mix at scale 0.05, seed
+    /// 42: any change to the order in which nodes are visited or pruned
+    /// moves these counts even when the optimum happens to survive.
+    #[test]
+    fn oracle_search_traversal_is_pinned() {
+        // (nodes, leaves, bound_prunes, complete, best_cost_us, root_lower_bound_us)
+        let want = [
+            (503, 29, 317, true, 1_725_389, 899_997),
+            (100, 15, 53, true, 1_286_374, 899_997),
+        ];
+        let rc = RunnerConfig { seed: 42, ..rc() };
+        for (mix, want) in regret_mixes().iter().zip(want) {
+            let r = oracle_outcome(mix, &rc).report;
+            assert_eq!(
+                (
+                    r.nodes,
+                    r.leaves,
+                    r.bound_prunes,
+                    r.complete,
+                    r.best_cost_us,
+                    r.root_lower_bound_us
+                ),
+                want,
+                "{}",
+                mix.name
+            );
+        }
+    }
+
     #[test]
     fn regret_figure_ranks_all_competitors_nonnegatively() {
         let fig = regret_panel(&rc());

@@ -1,13 +1,14 @@
 //! Byte-for-byte goldens for the figure families that `results/` does not
 //! pin at full scale: the three `topo` panels (the only figures whose
-//! cells run the multi-socket `HierarchicalBus`), `ablate-stages` and the
-//! open-system `open` figure; plus the tick and simulated-time counts of
-//! a fixed four-cell slice.
+//! cells run the multi-socket `HierarchicalBus`), `ablate-stages`, the
+//! open-system `open` figure and the `regret` figure (the only one whose
+//! cells run the offline-optimal oracle); plus the tick and
+//! simulated-time counts of a fixed four-cell slice.
 //!
 //! The files under `results/golden-0.1/` are what
-//! `experiments topo|ablate --stages|open --scale 0.1` writes (default
-//! seed 42; `open` at its default `poisson:small` arrivals and `short`
-//! horizon). This test regenerates each figure through the library entry
+//! `experiments topo|ablate --stages|open|regret --scale 0.1` writes
+//! (default seed 42; `open` at its default `poisson:small` arrivals and
+//! `short` horizon). This test regenerates each figure through the library entry
 //! points and compares both the CSV and the rendered text table. To
 //! re-pin after an intended change, rerun those commands with
 //! `--out results/golden-0.1` and delete the `.manifest.json` files.
@@ -16,7 +17,8 @@ use std::path::PathBuf;
 
 use busbw_experiments::open::{SHORT_DURATION_US, SMALL_RATE_PER_S};
 use busbw_experiments::{
-    ablate_stages, open_tail_latency, run_spec, topo_panel, PolicyKind, RunnerConfig, TOPO_SHAPES,
+    ablate_stages, open_tail_latency, regret_panel, run_spec, topo_panel, PolicyKind, RunnerConfig,
+    TOPO_SHAPES,
 };
 use busbw_managerd::ArrivalProcess;
 use busbw_metrics::{FigureSummary, Table};
@@ -81,6 +83,11 @@ fn open_figure_matches_golden() {
     // `open_tail_latency` is `plan_open` + `fold_open` at the CLI's
     // default accept-queue depth, on a throwaway engine.
     assert_matches_golden(&open_tail_latency(&rc(), arrivals, SHORT_DURATION_US));
+}
+
+#[test]
+fn regret_figure_matches_golden() {
+    assert_matches_golden(&regret_panel(&rc()));
 }
 
 /// The simulated work of a fixed four-cell slice — a coarsenable solo

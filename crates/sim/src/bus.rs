@@ -148,7 +148,9 @@ pub const MAX_BUS_LEVELS: usize = 5;
 /// machine's run-to-run reproducibility depends on. (Warm-started solvers
 /// may give ulp-level different answers for the same request set under a
 /// different call history; that is fine, history replays identically.)
-pub trait BusModel: Send {
+/// Models are also `Clone` (see [`BusModelClone`]), so a cloned machine
+/// resumes with the same memo and warm-start state as the original.
+pub trait BusModel: Send + BusModelClone {
     /// Resolve one tick's demands into `out`, reusing its allocations.
     /// Implementations must fully overwrite `out` (including clearing
     /// `shares`).
@@ -178,6 +180,26 @@ pub trait BusModel: Send {
     /// per-level accounting".
     fn levels(&self) -> &[LevelOutcome] {
         &[]
+    }
+}
+
+/// Object-safe cloning for boxed bus models, so `Box<dyn BusModel>` (and
+/// with it a whole [`crate::Machine`]) is `Clone`. Blanket-implemented for
+/// every `Clone` model; implementors only need `#[derive(Clone)]`.
+pub trait BusModelClone {
+    /// A boxed copy of this model, memo and scratch state included.
+    fn clone_box(&self) -> Box<dyn BusModel>;
+}
+
+impl<T: BusModel + Clone + 'static> BusModelClone for T {
+    fn clone_box(&self) -> Box<dyn BusModel> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn BusModel> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
     }
 }
 
@@ -496,7 +518,7 @@ fn lanes_f_and_slope(
 /// machine still instantiates the bare [`FsbBus`] for single-socket
 /// configs, so the equivalence is a proven invariant rather than a
 /// load-bearing path.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HierarchicalBus {
     cfg: BusConfig,
     topo: TopologyConfig,

@@ -61,7 +61,11 @@ impl Demand {
 /// mode relies on this: it provably skips redundant queries inside a
 /// constant region, so a model whose answers drifted with query cadence
 /// would diverge between the per-tick and event-driven paths.
-pub trait DemandModel: Send {
+///
+/// Models must also be `Clone` (see [`DemandModelClone`]): a cloned
+/// machine carries a copy of every thread's model, state included, so a
+/// snapshot resumes exactly where the original stands.
+pub trait DemandModel: Send + DemandModelClone {
     /// Demand at virtual time `vt_us` (µs of completed useful work), with
     /// the current wall clock `wall_us` available for time-driven burst
     /// processes.
@@ -117,6 +121,26 @@ pub trait DemandModel: Send {
     }
 }
 
+/// Object-safe cloning for boxed demand models, so `Box<dyn DemandModel>`
+/// (and with it a whole [`crate::Machine`]) is `Clone`. Blanket-implemented
+/// for every `Clone` model; implementors only need `#[derive(Clone)]`.
+pub trait DemandModelClone {
+    /// A boxed copy of this model, internal state included.
+    fn clone_box(&self) -> Box<dyn DemandModel>;
+}
+
+impl<T: DemandModel + Clone + 'static> DemandModelClone for T {
+    fn clone_box(&self) -> Box<dyn DemandModel> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn DemandModel> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
+}
+
 /// The simplest model: fixed demand forever.
 #[derive(Debug, Clone, Copy)]
 pub struct ConstantDemand(pub Demand);
@@ -163,6 +187,7 @@ mod tests {
         // A model that cannot look ahead keeps the default (0, 0) horizon;
         // its predicted edges must then sit exactly at the query point so
         // any cached demand is invalid immediately.
+        #[derive(Clone)]
         struct Opaque;
         impl DemandModel for Opaque {
             fn demand_at(&mut self, _vt_us: f64, _wall_us: u64) -> Demand {

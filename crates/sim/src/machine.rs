@@ -68,6 +68,7 @@ impl AppDescriptor {
     }
 }
 
+#[derive(Clone)]
 pub(crate) struct AppRecord {
     pub name: String,
     pub threads: Vec<ThreadId>,
@@ -362,6 +363,13 @@ pub enum StopCondition {
     AppsFinished(Vec<AppId>),
     /// Stop when every application with finite work has finished.
     AllFiniteAppsFinished,
+    /// Stop when all the listed applications have finished (the condition
+    /// is then met), or at the first reschedule point after the run has
+    /// made the given number of scheduling decisions — before asking for
+    /// another one. A decision-count stop leaves `condition_met = false`
+    /// and the machine exactly where a continuous run would consult its
+    /// scheduler, so a fresh `run` resumes the same trajectory.
+    AppsFinishedOrDecisions(Vec<AppId>, u64),
 }
 
 /// Why a run stopped, plus accounting.
@@ -428,7 +436,7 @@ impl AppReport {
 /// (or cleared) at the start of every tick; `f64::INFINITY` in
 /// `barrier_cap` means "no cap". Taken out of the machine with
 /// `std::mem::take` for the duration of a tick to keep borrows simple.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TickScratch {
     /// Occupant per cpu.
     placement: Vec<Option<ThreadId>>,
@@ -508,7 +516,7 @@ pub enum ExecMode {
 /// new placement, a thread finishing, a tracer change) invalidates the
 /// snapshot and the next tick takes the full rebuild path, which
 /// repopulates it.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct ReplayCache {
     valid: bool,
     /// Cpu index per request.
@@ -575,6 +583,15 @@ fn guard_edge(edge: f64) -> f64 {
 ///
 /// Thread and application IDs are handed out sequentially from 0, so both
 /// live in dense `Vec`s indexed by id — every hot-path lookup is O(1).
+///
+/// A clone is a full snapshot: threads (demand-model state included),
+/// caches, counters, bus memo and the event-driven replay cache, so
+/// running the clone forward is bit-identical to running the original
+/// forward. Two things are not deep-copied: the clone shares the
+/// original's [`EventBus`] sink (an `Arc`), so a traced machine's clones
+/// emit into the same trace, and it copies the profiler's enable flag and
+/// the phase stats recorded so far.
+#[derive(Clone)]
 pub struct Machine {
     cfg: MachineConfig,
     bus: Box<dyn BusModel>,
@@ -881,6 +898,11 @@ impl Machine {
             }
 
             if self.now >= next_resched || resched_requested {
+                if let StopCondition::AppsFinishedOrDecisions(_, n) = stop {
+                    if stats.schedule_calls >= n {
+                        break false;
+                    }
+                }
                 let tok = self.prof.begin();
                 let decision = sched.schedule(&self.view());
                 assert!(
@@ -933,11 +955,13 @@ impl Machine {
     fn stop_met(&self, stop: &StopCondition) -> bool {
         match stop {
             StopCondition::At(t) => self.now >= *t,
-            StopCondition::AppsFinished(ids) => ids.iter().all(|id| {
-                self.apps
-                    .get(id.0 as usize)
-                    .is_some_and(|r| r.finished_at.is_some())
-            }),
+            StopCondition::AppsFinished(ids) | StopCondition::AppsFinishedOrDecisions(ids, _) => {
+                ids.iter().all(|id| {
+                    self.apps
+                        .get(id.0 as usize)
+                        .is_some_and(|r| r.finished_at.is_some())
+                })
+            }
             StopCondition::AllFiniteAppsFinished => self.apps.iter().all(|r| {
                 r.finished_at.is_some()
                     || r.threads
@@ -1891,6 +1915,7 @@ mod tests {
     }
 
     /// Virtual-time two-phase square wave with honest horizons.
+    #[derive(Clone)]
     struct TwoPhase;
     impl crate::demand::DemandModel for TwoPhase {
         fn demand_at(&mut self, vt_us: f64, _wall_us: u64) -> crate::demand::Demand {
@@ -1915,6 +1940,7 @@ mod tests {
     }
 
     /// Wall-clock square wave with exact integer switch edges.
+    #[derive(Clone)]
     struct WallSquare;
     impl crate::demand::DemandModel for WallSquare {
         fn demand_at(&mut self, _vt_us: f64, wall_us: u64) -> crate::demand::Demand {
