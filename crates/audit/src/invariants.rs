@@ -515,7 +515,7 @@ impl Invariant for ManagerArenaCoherence {
         // Leg 2: the real client publish path through a live manager.
         let (mut mgr, handle) = CpuManager::new(
             ManagerConfig::default(),
-            Box::new(LatestQuantumEstimator::new()),
+            Some(Box::new(LatestQuantumEstimator::new())),
         );
         let pending =
             AppRuntime::request_connect(&handle, "audit-self-check").expect("manager alive");
@@ -1196,7 +1196,7 @@ mod tests {
             collect_events: true,
             ..busbw_managerd::OpenConfig::default()
         };
-        let out = busbw_managerd::serve(&cfg, Box::new(LatestQuantumEstimator::new()));
+        let out = busbw_managerd::serve(&cfg, Some(Box::new(LatestQuantumEstimator::new())));
         assert!(out.served > 0, "serve produced no departures to audit");
         let mut aud = Auditor::with_builtins();
         aud.check_events(&out.events);

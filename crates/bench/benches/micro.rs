@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 use busbw_core::estimator::{BandwidthEstimator, QuantaWindowEstimator};
 use busbw_core::model::predict_set_value;
-use busbw_core::{fitness, linux_like, select_gangs, Candidate, DemandTracker};
+use busbw_core::{fitness, linux_like, reconstruct, select_gangs, Candidate};
 use busbw_metrics::MovingWindow;
 use busbw_sim::{
     AppDescriptor, BusConfig, BusModel, BusRequest, CacheConfig, CacheState, ConstantDemand, CpuId,
@@ -84,8 +84,7 @@ fn bench_selection(c: &mut Criterion) {
         b.iter(|| black_box(fitness(black_box(7.4), black_box(11.65))))
     });
     g.bench_function("demand_reconstruction", |b| {
-        let mut t = DemandTracker::new();
-        b.iter(|| black_box(t.observe(busbw_sim::AppId(1), black_box(4.87), black_box(2.63))))
+        b.iter(|| black_box(reconstruct(black_box(4.87), black_box(2.63))))
     });
     g.bench_function("model_predict_4_jobs", |b| {
         let jobs = [(2usize, 11.65, 1.0), (1, 23.6, 1.0), (1, 23.6, 1.0)];
@@ -210,7 +209,7 @@ fn bench_manager(c: &mut Criterion) {
     // this is the overhead the paper bounds at ≤ 4.5 % of a 200 ms
     // quantum — i.e. the decision must cost far less than 9 ms.
     let mut g = c.benchmark_group("cpu_manager");
-    let (mut mgr, handle) = CpuManager::new(ManagerConfig::default(), Box::new(QW::new()));
+    let (mut mgr, handle) = CpuManager::new(ManagerConfig::default(), Some(Box::new(QW::new())));
     let mut apps = Vec::new();
     for i in 0..6 {
         let pending =

@@ -14,8 +14,11 @@
 //! four stages — *estimate* (measure each job's bandwidth), *admit*
 //! (unconditional admissions, e.g. the paper's head-of-list rule), *select*
 //! (fill the remaining processors, e.g. by [`fitness`]), and *place* (map
-//! gangs onto cpus). The paper policies compose
-//! [`pipeline::ReconstructingEstimator`] + [`pipeline::HeadOfList`] +
+//! gangs onto cpus). Every bandwidth estimate takes one path: a
+//! [`pipeline::Meter`] turns counter deltas into reconstructed rates
+//! ([`reconstruct()`]) and feeds a [`BandwidthEstimator`] rule, the one
+//! estimator trait, which the CPU manager uses too. The paper policies
+//! compose a sampled meter + [`pipeline::HeadOfList`] +
 //! [`pipeline::FitnessSelector`] + [`pipeline::PackedPlacer`] via
 //! [`bus_aware`]: an application is given processors only if all of its
 //! threads fit; the job at the head of a circular list is always admitted
@@ -28,9 +31,10 @@
 //! time slices, epochs, and cache-affinity bias modeled on the Linux 2.4
 //! scheduler the paper compares against ([`linux26::linux_o1`] models the
 //! newer O(1) scheduler). [`oracle`] has further comparators (random gang,
-//! round-robin gang, greedy) for ablations — all presets over the same
-//! stages, so any estimator/admission/selector/placer combination can
-//! also be composed directly — plus [`oracle::offline_optimal`], a
+//! round-robin gang, greedy) for ablations and [`model`] the model-driven
+//! comparator — all presets over the same stages, so any
+//! meter/admission/selector/placer combination can also be composed
+//! directly — plus [`oracle::offline_optimal`], a
 //! branch-and-bound search for the clairvoyant-optimal gang schedule on
 //! small instances, against which every preset can be scored by regret.
 //!
@@ -62,16 +66,16 @@ pub use estimator::{
 pub use fitness::{available_bbw_per_proc, fitness};
 pub use linux::{linux_like, linux_like_with_config, LinuxConfig, LinuxEpochSelector};
 pub use linux26::{linux_o1, linux_o1_with_config, LinuxO1Selector, O1Config};
-pub use model::{predict_set_value, ModelDrivenScheduler};
+pub use model::{model_driven, predict_set_value, ModelSelector};
 pub use oracle::{
     brute_force_optimal, greedy_pack, offline_optimal, random_gang, round_robin_gang,
     round_robin_gang_with_quantum, simulate as oracle_simulate, BranchState, FixedPlanScheduler,
     GangState, OracleReport, OracleSearchConfig, RecordingScheduler, SimNode, ThreadSlot,
     ORACLE_IDLE_SENTINEL_US,
 };
-pub use pipeline::{PolicyStack, SoloSelector};
-pub use reconstruct::{DemandTracker, Reconstruction};
-pub use sched::{bus_aware, bus_aware_with_config, PolicyConfig};
+pub use pipeline::{Meter, PolicyStack, SoloSelector};
+pub use reconstruct::{reconstruct, Reconstruction};
+pub use sched::{bus_aware, bus_aware_with_quantum};
 pub use selection::{select_gangs, select_gangs_report, Admission, Candidate};
 
 /// Convenience: the 'Latest Quantum' policy as a ready-to-run scheduler.

@@ -13,7 +13,7 @@
 //!   gets a goodness bonus on it, biasing the scheduler to keep threads
 //!   where their cache state lives;
 //! * **bandwidth obliviousness** — nothing in the selection looks at bus
-//!   traffic (the preset stack uses the null estimator), so an application
+//!   traffic (the preset stack has no meter), so an application
 //!   thread is happily co-scheduled with three BBMA streamers, which is
 //!   precisely the pathology of §5;
 //! * threads are scheduled **independently** (no gangs) — the selector
@@ -30,9 +30,7 @@ use busbw_sim::{AppId, Assignment, CpuId, SimTime, ThreadId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::pipeline::{
-    NullEstimator, Open, PackedPlacer, PolicyStack, Selection, Selector, StageCtx,
-};
+use crate::pipeline::{Open, PackedPlacer, PolicyStack, Selection, Selector, StageCtx};
 use crate::selection::Candidate;
 
 /// Baseline configuration.
@@ -235,7 +233,7 @@ pub fn linux_like_with_config(cfg: LinuxConfig) -> PolicyStack {
     PolicyStack::new(
         "Linux",
         cfg.quantum_us,
-        Box::new(NullEstimator),
+        None,
         Box::new(Open),
         Box::new(LinuxEpochSelector::with_config(cfg)),
         Box::new(PackedPlacer),
@@ -384,6 +382,6 @@ mod tests {
     fn preset_reports_linux_name_and_stage_labels() {
         let s = linux_like();
         assert_eq!(s.name(), "Linux");
-        assert_eq!(s.stage_labels(), ["Null", "open", "linux-epoch", "packed"]);
+        assert_eq!(s.stage_labels(), ["none", "open", "linux-epoch", "packed"]);
     }
 }

@@ -26,9 +26,7 @@ use busbw_sim::{AppId, Assignment, CpuId, SimTime, ThreadId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::pipeline::{
-    NullEstimator, Open, PackedPlacer, PolicyStack, Selection, Selector, StageCtx,
-};
+use crate::pipeline::{Open, PackedPlacer, PolicyStack, Selection, Selector, StageCtx};
 use crate::selection::Candidate;
 
 /// O(1)-baseline configuration.
@@ -304,7 +302,7 @@ pub fn linux_o1_with_config(cfg: O1Config) -> PolicyStack {
     PolicyStack::new(
         "LinuxO1",
         cfg.period_us,
-        Box::new(NullEstimator),
+        None,
         Box::new(Open),
         Box::new(LinuxO1Selector::with_config(cfg)),
         Box::new(PackedPlacer),
@@ -420,6 +418,6 @@ mod tests {
     fn preset_reports_o1_name_and_stage_labels() {
         let s = linux_o1();
         assert_eq!(s.name(), "LinuxO1");
-        assert_eq!(s.stage_labels(), ["Null", "open", "linux-o1", "packed"]);
+        assert_eq!(s.stage_labels(), ["none", "open", "linux-o1", "packed"]);
     }
 }

@@ -264,7 +264,7 @@ mod tests {
     fn pair() -> (CpuManager, ManagerHandle) {
         CpuManager::new(
             ManagerConfig::default(),
-            Box::new(LatestQuantumEstimator::new()),
+            Some(Box::new(LatestQuantumEstimator::new())),
         )
     }
 

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::estimator::BandwidthEstimator;
-use crate::reconstruct::DemandTracker;
+use crate::reconstruct::reconstruct;
 use crate::selection::{select_gangs, Candidate};
 
 use super::arena::SharedArena;
@@ -74,18 +74,33 @@ struct Job {
     blocked: bool,
 }
 
+/// The reconstructed requirement per thread of every running job whose
+/// arena has a published sample, in list order.
+fn running_demands<'a>(
+    jobs: &'a [Job],
+    running: &'a [ClientId],
+    dilation: f64,
+) -> impl Iterator<Item = (busbw_sim::AppId, f64)> + 'a {
+    jobs.iter()
+        .filter(|j| running.contains(&j.id))
+        .filter_map(move |j| {
+            let snap = j.arena.read()?;
+            let demand = reconstruct(snap.rate_per_thread(), dilation).demand_per_thread;
+            Some((busbw_sim::AppId(j.id.0), demand))
+        })
+}
+
 /// The user-level CPU manager.
 pub struct CpuManager {
     cfg: ManagerConfig,
     rx: Receiver<ToManager>,
-    estimator: Box<dyn BandwidthEstimator>,
+    /// The estimator rule; `None` for a bandwidth-oblivious manager that
+    /// measures nothing and reads every job as bandwidth-free.
+    estimator: Option<Box<dyn BandwidthEstimator>>,
     /// Circular applications list (head = next guaranteed job).
     jobs: Vec<Job>,
     running: Vec<ClientId>,
     next_id: u64,
-    /// Reconstructs bandwidth requirements from arena consumption reports
-    /// (see [`crate::reconstruct`]).
-    demand: DemandTracker,
     /// Average bus dilation Λ̄ for the current interval, as measured by
     /// the operator's IOQ-occupancy counter (1.0 = uncontended). Updated
     /// through [`CpuManager::note_dilation`].
@@ -97,10 +112,11 @@ pub struct CpuManager {
 
 impl CpuManager {
     /// Create a manager; returns it plus the handle applications connect
-    /// through.
+    /// through. With `estimator = None` the manager is bandwidth-oblivious:
+    /// selection degenerates to width-first rotation.
     pub fn new(
         cfg: ManagerConfig,
-        estimator: Box<dyn BandwidthEstimator>,
+        estimator: Option<Box<dyn BandwidthEstimator>>,
     ) -> (Self, ManagerHandle) {
         assert!(cfg.num_cpus > 0 && cfg.quantum_us > 0 && cfg.samples_per_quantum > 0);
         let (tx, rx) = unbounded();
@@ -112,7 +128,6 @@ impl CpuManager {
                 jobs: Vec::new(),
                 running: Vec::new(),
                 next_id: 0,
-                demand: DemandTracker::new(),
                 dilation: 1.0,
                 tracer: EventBus::off(),
             },
@@ -195,8 +210,9 @@ impl CpuManager {
                                 g.deliver(Signal::Unblock);
                             }
                         }
-                        self.estimator.forget(busbw_sim::AppId(app.0));
-                        self.demand.forget(busbw_sim::AppId(app.0));
+                        if let Some(est) = &mut self.estimator {
+                            est.forget(busbw_sim::AppId(app.0));
+                        }
                         self.running.retain(|&r| r != app);
                         if self.tracer.emits() {
                             self.tracer
@@ -244,20 +260,11 @@ impl CpuManager {
     /// the estimator (the paper polls twice per quantum; blocked jobs are
     /// not measured because they are not executing).
     pub fn sample(&mut self) {
-        let mut observed = Vec::new();
-        for j in &self.jobs {
-            if !self.running.contains(&j.id) {
-                continue;
-            }
-            if let Some(snap) = j.arena.read() {
-                observed.push((j.id, snap.rate_per_thread()));
-            }
-        }
-        for (id, per_thread) in observed {
-            let demand = self
-                .demand
-                .observe(busbw_sim::AppId(id.0), per_thread, self.dilation);
-            self.estimator.record_sample(busbw_sim::AppId(id.0), demand);
+        let Some(est) = &mut self.estimator else {
+            return;
+        };
+        for (app, demand) in running_demands(&self.jobs, &self.running, self.dilation) {
+            est.record_sample(app, demand);
         }
     }
 
@@ -269,22 +276,12 @@ impl CpuManager {
 
         // Settle: the latest arena rate of each job that ran becomes its
         // latest-quantum measurement.
-        let running = self.running.clone();
-        let mut observed = Vec::new();
-        for j in &self.jobs {
-            if running.contains(&j.id) {
-                if let Some(snap) = j.arena.read() {
-                    observed.push((j.id, snap.rate_per_thread()));
-                }
+        if let Some(est) = &mut self.estimator {
+            for (app, demand) in running_demands(&self.jobs, &self.running, self.dilation) {
+                est.record_quantum(app, demand);
             }
         }
-        for (id, per_thread) in observed {
-            let demand = self
-                .demand
-                .observe(busbw_sim::AppId(id.0), per_thread, self.dilation);
-            self.estimator
-                .record_quantum(busbw_sim::AppId(id.0), demand);
-        }
+        let running = self.running.clone();
 
         // Rotate jobs that ran to the end of the circular list.
         let (ran, waiting): (Vec<Job>, Vec<Job>) = {
@@ -309,7 +306,10 @@ impl CpuManager {
             .map(|j| Candidate {
                 key: j.id,
                 width: j.gates.len(),
-                bbw_per_thread: self.estimator.estimate(busbw_sim::AppId(j.id.0)),
+                bbw_per_thread: self
+                    .estimator
+                    .as_ref()
+                    .map_or(0.0, |est| est.estimate(busbw_sim::AppId(j.id.0))),
             })
             .collect();
         let selected = select_gangs(&candidates, self.cfg.num_cpus, self.cfg.bus_total_tx_per_us);
@@ -438,7 +438,7 @@ mod tests {
     fn mgr() -> (CpuManager, ManagerHandle) {
         CpuManager::new(
             ManagerConfig::default(),
-            Box::new(LatestQuantumEstimator::new()),
+            Some(Box::new(LatestQuantumEstimator::new())),
         )
     }
 

@@ -5,31 +5,36 @@
 //! scheduling problem as a multi-parametric optimization problem and
 //! derive practical model-driven scheduling algorithms."*
 //!
-//! [`ModelDrivenScheduler`] does exactly that at quantum granularity:
+//! [`model_driven`] does exactly that at quantum granularity, as a
+//! [`PolicyStack`] preset:
 //!
-//! 1. **Measure** like the paper's policies (reconstructed per-thread
-//!    bandwidth requirements, see [`crate::reconstruct`]).
+//! 1. **Measure** like the comparators: a [`Meter`] over whole quanta
+//!    (reconstructed per-thread bandwidth requirements, see
+//!    [`mod@crate::reconstruct`]), with no mid-quantum samples.
 //! 2. **Model**: for any candidate gang set, predict each thread's speed
 //!    under the shared-bus dilation model
 //!    `s_i = 1 / ((1 − µ̂_i) + µ̂_i·λ)` with λ solving
 //!    `Σ d_i·s_i = C` at saturation. Memory-boundness µ̂ is not
 //!    observable from counters, so an empirical curve maps demand to µ̂
 //!    (fit to the paper's application population; see [`mu_hat`]).
-//! 3. **Optimize**: enumerate feasible admission sets (exact up to
-//!    [`ModelDrivenScheduler::EXACT_ENUMERATION_LIMIT`] jobs, greedy
+//! 3. **Optimize** ([`ModelSelector`]): enumerate feasible admission sets
+//!    (exact up to [`ModelSelector::EXACT_ENUMERATION_LIMIT`] jobs, greedy
 //!    marginal-gain beyond) and pick the set maximizing predicted useful
 //!    progress, weighted by a starvation-ageing factor so no job waits
-//!    forever (replacing the head-of-list guarantee of the §4 policies).
+//!    forever. Admission is [`Open`]: the ageing replaces the head-of-list
+//!    guarantee of the §4 policies.
 //!
 //! This is a *comparator*, not a reproduction artifact: it quantifies how
 //! much headroom the paper's O(jobs²) heuristic leaves on the table.
 
 use std::collections::BTreeMap;
 
-use busbw_perfmon::EventKind;
-use busbw_sim::{AppId, Decision, MachineView, Scheduler, SimTime};
+use busbw_sim::AppId;
 
-use crate::reconstruct::DemandTracker;
+use crate::pipeline::{
+    Meter, Open, PackedPlacer, PolicyStack, Selection, Selector, StageCtx, PAPER_QUANTUM_US,
+};
+use crate::selection::Candidate;
 
 /// Empirical demand → memory-boundness curve for the paper's application
 /// population: light codes (< 1 tx/µs/thread) are nearly compute bound,
@@ -84,112 +89,73 @@ pub fn predict_set_value(jobs: &[(usize, f64, f64)], cap: f64) -> f64 {
         .sum()
 }
 
-/// The model-driven comparator scheduler.
-pub struct ModelDrivenScheduler {
-    quantum_us: u64,
-    /// Starvation ageing: each quantum a job waits multiplies its weight
-    /// by `(1 + aging)`.
-    aging: f64,
-    demand: DemandTracker,
-    waited: BTreeMap<AppId, u32>,
-    running: Vec<AppId>,
-    snapshot: BTreeMap<AppId, f64>,
-    last_boundary_us: SimTime,
-    dilation_at_boundary: f64,
+/// The model-driven comparator: a raw [`Meter`], [`Open`] admission,
+/// the [`ModelSelector`] optimizer and [`PackedPlacer`], with the paper's
+/// 200 ms quantum.
+pub fn model_driven() -> PolicyStack {
+    PolicyStack::new(
+        "ModelDriven",
+        PAPER_QUANTUM_US,
+        Some(Meter::raw()),
+        Box::new(Open),
+        Box::new(ModelSelector::default()),
+        Box::new(PackedPlacer),
+    )
 }
 
-impl ModelDrivenScheduler {
-    /// Beyond this many live jobs the optimizer switches from exact subset
+/// The model-driven optimizer as a selector stage: picks the feasible set
+/// with the best predicted progress ([`predict_set_value`]), each job
+/// weighted by `(1 + AGING)^quanta_waited`.
+#[derive(Debug, Default, Clone)]
+pub struct ModelSelector {
+    /// Quanta each candidate has waited since it last ran.
+    waited: BTreeMap<AppId, u32>,
+}
+
+impl ModelSelector {
+    /// Beyond this many candidates the optimizer switches from exact subset
     /// enumeration to greedy marginal gain.
     pub const EXACT_ENUMERATION_LIMIT: usize = 14;
 
-    /// A model-driven scheduler with the paper's 200 ms quantum and a
-    /// moderate ageing factor.
-    pub fn new() -> Self {
-        Self::with_params(200_000, 0.5)
-    }
+    /// Starvation ageing: each quantum a job waits multiplies its weight
+    /// by `1 + AGING`.
+    pub const AGING: f64 = 0.5;
 
-    /// Custom quantum and ageing factor.
-    pub fn with_params(quantum_us: u64, aging: f64) -> Self {
-        assert!(quantum_us > 0, "quantum must be positive");
-        assert!(aging >= 0.0, "aging must be non-negative");
-        Self {
-            quantum_us,
-            aging,
-            demand: DemandTracker::new(),
-            waited: BTreeMap::new(),
-            running: Vec::new(),
-            snapshot: BTreeMap::new(),
-            last_boundary_us: 0,
-            dilation_at_boundary: 0.0,
-        }
-    }
-
-    fn app_tx(view: &MachineView<'_>, app: AppId) -> f64 {
-        view.app(app)
-            .map(|a| {
-                a.threads
-                    .iter()
-                    .map(|t| view.registry.total(t.key(), EventKind::BusTransactions))
-                    .sum()
-            })
-            .unwrap_or(0.0)
-    }
-
-    /// Pick the best feasible set among `jobs` = (app, width, demand,
-    /// weight) given `cpus` processors and bus capacity `cap`.
-    fn optimize(jobs: &[(AppId, usize, f64, f64)], cpus: usize, cap: f64) -> Vec<AppId> {
+    /// Pick the best feasible set among `jobs` = (width, demand, weight)
+    /// given `cpus` processors and bus capacity `cap`; returns indices into
+    /// `jobs`, ascending for exact enumeration, in pick order for greedy.
+    fn optimize(jobs: &[(usize, f64, f64)], cpus: usize, cap: f64) -> Vec<usize> {
         if jobs.is_empty() {
             return Vec::new();
         }
         if jobs.len() <= Self::EXACT_ENUMERATION_LIMIT {
             // Exact enumeration over subsets that fit.
-            let n = jobs.len();
-            let mut best: (f64, Vec<AppId>) = (-1.0, Vec::new());
-            for mask in 1u32..(1 << n) {
-                let mut width = 0usize;
-                for (i, j) in jobs.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        width += j.1;
-                    }
-                }
+            let members = |mask: u32| (0..jobs.len()).filter(move |i| mask & (1 << i) != 0);
+            let mut best: (f64, u32) = (-1.0, 0);
+            for mask in 1u32..(1 << jobs.len()) {
+                let width: usize = members(mask).map(|i| jobs[i].0).sum();
                 if width > cpus {
                     continue;
                 }
-                let set: Vec<(usize, f64, f64)> = jobs
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, &(_, w, d, wt))| (w, d, wt))
-                    .collect();
+                let set: Vec<(usize, f64, f64)> = members(mask).map(|i| jobs[i]).collect();
                 let v = predict_set_value(&set, cap);
                 if v > best.0 {
-                    best = (
-                        v,
-                        jobs.iter()
-                            .enumerate()
-                            .filter(|(i, _)| mask & (1 << i) != 0)
-                            .map(|(_, &(a, ..))| a)
-                            .collect(),
-                    );
+                    best = (v, mask);
                 }
             }
-            best.1
+            members(best.1).collect()
         } else {
             // Greedy marginal gain.
             let mut chosen: Vec<usize> = Vec::new();
             let mut free = cpus;
             loop {
                 let mut best: Option<(f64, usize)> = None;
-                for (i, &(_, w, _, _)) in jobs.iter().enumerate() {
+                for (i, &(w, _, _)) in jobs.iter().enumerate() {
                     if chosen.contains(&i) || w > free || w == 0 {
                         continue;
                     }
-                    let mut set: Vec<(usize, f64, f64)> = chosen
-                        .iter()
-                        .map(|&j| (jobs[j].1, jobs[j].2, jobs[j].3))
-                        .collect();
-                    set.push((jobs[i].1, jobs[i].2, jobs[i].3));
+                    let mut set: Vec<(usize, f64, f64)> = chosen.iter().map(|&j| jobs[j]).collect();
+                    set.push(jobs[i]);
                     let v = predict_set_value(&set, cap);
                     if best.is_none_or(|(bv, _)| v > bv) {
                         best = Some((v, i));
@@ -197,89 +163,70 @@ impl ModelDrivenScheduler {
                 }
                 match best {
                     Some((_, i)) => {
-                        free -= jobs[i].1;
+                        free -= jobs[i].0;
                         chosen.push(i);
                     }
                     None => break,
                 }
             }
-            chosen.into_iter().map(|i| jobs[i].0).collect()
+            chosen
         }
     }
 }
 
-impl Default for ModelDrivenScheduler {
-    fn default() -> Self {
-        Self::new()
+impl Selector for ModelSelector {
+    fn label(&self) -> &'static str {
+        "model"
     }
-}
 
-impl Scheduler for ModelDrivenScheduler {
-    fn schedule(&mut self, view: &MachineView<'_>) -> Decision {
-        // Measure the ending quantum (same reconstruction as the paper's
-        // policies).
-        let dt = view.now.saturating_sub(self.last_boundary_us);
-        if dt > 0 {
-            let lambda =
-                ((view.dilation_integral - self.dilation_at_boundary) / dt as f64).max(1.0);
-            for &app in &self.running {
-                let Some(info) = view.app(app) else { continue };
-                let total = Self::app_tx(view, app);
-                let before = self.snapshot.get(&app).copied().unwrap_or(0.0);
-                let per_thread = (total - before).max(0.0) / dt as f64 / info.width().max(1) as f64;
-                self.demand.observe(app, per_thread, lambda);
-            }
-        }
-
-        // Live-job bookkeeping and ageing.
-        let live = view.live_apps();
-        self.waited.retain(|a, _| live.contains(a));
-        for &a in &live {
-            self.waited.entry(a).or_insert(0);
-        }
-
-        let jobs: Vec<(AppId, usize, f64, f64)> = live
+    fn select(
+        &mut self,
+        ctx: &StageCtx<'_, '_>,
+        cands: &[Candidate<AppId>],
+        admitted: &[usize],
+        free: usize,
+    ) -> Selection {
+        // Ascending id order, whatever the list rotation: the exact
+        // enumeration's and the greedy pass's tie-breaks depend on it.
+        let mut order: Vec<usize> = (0..cands.len()).filter(|i| !admitted.contains(i)).collect();
+        order.sort_by_key(|&i| cands[i].key);
+        let jobs: Vec<(usize, f64, f64)> = order
             .iter()
-            .filter_map(|&a| {
-                view.app(a).map(|info| {
-                    let weight = (1.0 + self.aging).powi(self.waited[&a] as i32);
-                    (a, info.width(), self.demand.estimate(a), weight)
-                })
+            .map(|&i| {
+                let waited = self.waited.get(&cands[i].key).copied().unwrap_or(0);
+                let weight = (1.0 + Self::AGING).powi(waited as i32);
+                (cands[i].width, cands[i].bbw_per_thread, weight)
             })
             .collect();
-
-        let selected = Self::optimize(&jobs, view.num_cpus, view.bus_capacity);
-
-        for &a in &live {
-            if selected.contains(&a) {
-                self.waited.insert(a, 0);
-            } else {
-                *self.waited.entry(a).or_insert(0) += 1;
-            }
-        }
-        for &app in &selected {
-            self.snapshot.insert(app, Self::app_tx(view, app));
-        }
-        self.running = selected.clone();
-        self.last_boundary_us = view.now;
-        self.dilation_at_boundary = view.dilation_integral;
-
-        Decision {
-            assignments: crate::pipeline::place_packed(view, &selected),
-            next_resched_in_us: self.quantum_us,
-            sample_period_us: None,
-        }
-    }
-
-    fn name(&self) -> &str {
-        "ModelDriven"
+        let picked: Vec<usize> = Self::optimize(&jobs, free, ctx.view.bus_capacity)
+            .into_iter()
+            .map(|j| order[j])
+            .collect();
+        // Jobs that run reset their wait; everyone else ages; departed
+        // jobs drop out.
+        self.waited = cands
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let waited = if admitted.contains(&i) || picked.contains(&i) {
+                    0
+                } else {
+                    self.waited.get(&c.key).copied().unwrap_or(0) + 1
+                };
+                (c.key, waited)
+            })
+            .collect();
+        Selection::Gangs(picked)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use busbw_sim::{AppDescriptor, ConstantDemand, Machine, StopCondition, ThreadSpec, XEON_4WAY};
+    use busbw_sim::{
+        AppDescriptor, ConstantDemand, Machine, Scheduler, StopCondition, ThreadSpec, XEON_4WAY,
+    };
+    use busbw_trace::EventBus;
 
     #[test]
     fn mu_hat_is_monotone_and_clamped() {
@@ -306,16 +253,9 @@ mod tests {
 
     #[test]
     fn optimizer_fills_processors_when_free() {
-        let jobs = vec![
-            (AppId(0), 2, 1.0, 1.0),
-            (AppId(1), 2, 1.0, 1.0),
-            (AppId(2), 2, 1.0, 1.0),
-        ];
-        let sel = ModelDrivenScheduler::optimize(&jobs, 4, 29.5);
-        let width: usize = sel
-            .iter()
-            .map(|a| jobs.iter().find(|j| j.0 == *a).unwrap().1)
-            .sum();
+        let jobs = vec![(2, 1.0, 1.0), (2, 1.0, 1.0), (2, 1.0, 1.0)];
+        let sel = ModelSelector::optimize(&jobs, 4, 29.5);
+        let width: usize = sel.iter().map(|&i| jobs[i].0).sum();
         assert_eq!(width, 4, "selected {sel:?}");
     }
 
@@ -334,7 +274,7 @@ mod tests {
                 m.add_app(AppDescriptor::new(format!("j{i}"), threads))
             })
             .collect();
-        let mut s = ModelDrivenScheduler::new();
+        let mut s = model_driven();
         let mut ran: std::collections::BTreeSet<AppId> = Default::default();
         for _ in 0..8 {
             let d = s.schedule(&m.view());
@@ -353,13 +293,11 @@ mod tests {
 
     #[test]
     fn greedy_path_used_above_enumeration_limit() {
-        let jobs: Vec<(AppId, usize, f64, f64)> = (0..20)
-            .map(|i| (AppId(i), 1, (i as f64) % 13.0, 1.0))
-            .collect();
-        let sel = ModelDrivenScheduler::optimize(&jobs, 4, 29.5);
+        let jobs: Vec<(usize, f64, f64)> = (0..20).map(|i| (1, (i as f64) % 13.0, 1.0)).collect();
+        let sel = ModelSelector::optimize(&jobs, 4, 29.5);
         assert_eq!(sel.len(), 4);
         // Deterministic.
-        assert_eq!(sel, ModelDrivenScheduler::optimize(&jobs, 4, 29.5));
+        assert_eq!(sel, ModelSelector::optimize(&jobs, 4, 29.5));
     }
 
     #[test]
@@ -386,7 +324,7 @@ mod tests {
             (m, measured)
         };
         let (mut m1, meas1) = build();
-        let mut md = ModelDrivenScheduler::new();
+        let mut md = model_driven();
         let o1 = m1.run(&mut md, StopCondition::AppsFinished(meas1.clone()));
         assert!(o1.condition_met);
         let t_md: u64 = meas1.iter().map(|&a| m1.turnaround_us(a).unwrap()).sum();
@@ -401,5 +339,55 @@ mod tests {
             t_md <= t_gp + t_gp / 10,
             "model-driven {t_md} vs greedy-pack {t_gp}"
         );
+    }
+
+    /// Select over `cands` in the given order on a bare 4-way machine,
+    /// returning the chosen ids sorted.
+    fn select_ids(sel: &mut ModelSelector, cands: &[Candidate<AppId>]) -> Vec<AppId> {
+        let m = Machine::new(XEON_4WAY);
+        let view = m.view();
+        let bus = EventBus::off();
+        let ctx = StageCtx {
+            view: &view,
+            tracer: &bus,
+        };
+        let Selection::Gangs(picked) = sel.select(&ctx, cands, &[], 4) else {
+            panic!("model selector returned a pinned schedule");
+        };
+        let mut ids: Vec<AppId> = picked.iter().map(|&i| cands[i].key).collect();
+        ids.sort();
+        ids
+    }
+
+    #[test]
+    fn selection_does_not_depend_on_candidate_rotation() {
+        // Equal-width, equal-demand pairs tie exactly in predicted value,
+        // so only the visiting order can break the tie; it must be by id.
+        let specs = [(2, 11.0), (2, 0.1), (2, 11.0), (2, 0.1), (1, 5.0)];
+        let cands: Vec<Candidate<AppId>> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(width, bbw))| Candidate {
+                key: AppId(i as u64),
+                width,
+                bbw_per_thread: bbw,
+            })
+            .collect();
+        let mut rotated = cands.clone();
+        rotated.rotate_left(2);
+        let mut reversed = cands.clone();
+        reversed.reverse();
+        let a = select_ids(&mut ModelSelector::default(), &cands);
+        assert!(!a.is_empty());
+        assert_eq!(a, select_ids(&mut ModelSelector::default(), &rotated));
+        assert_eq!(a, select_ids(&mut ModelSelector::default(), &reversed));
+    }
+
+    #[test]
+    fn preset_is_a_raw_meter_open_model_packed_stack() {
+        let s = model_driven();
+        assert_eq!(s.name(), "ModelDriven");
+        assert_eq!(s.quantum_us(), PAPER_QUANTUM_US);
+        assert_eq!(s.stage_labels(), ["raw", "open", "model", "packed"]);
     }
 }

@@ -5,8 +5,8 @@
 //! rules*. They isolate how much of the paper's win comes from the
 //! fitness heuristic itself versus from gang scheduling or mere
 //! rotation. Each is a [`PolicyStack`] preset over the
-//! [`crate::pipeline`] stages, sharing the [`RawRateEstimator`]
-//! measurement path the monolithic comparators used to carry inline.
+//! [`crate::pipeline`] stages, measuring with a raw [`Meter`] (the Latest
+//! rule over whole quanta, no mid-quantum samples).
 //!
 //! * [`round_robin_gang`] — gang scheduling + rotation only: admit jobs in
 //!   list order while they fit. (What you get if you delete Equation (1).)
@@ -41,8 +41,8 @@ use busbw_sim::{
 };
 
 use crate::pipeline::{
-    Fcfs, GreedySelector, NullSelector, PackedPlacer, PolicyStack, RandomSelector,
-    RawRateEstimator, StrictHead, PAPER_QUANTUM_US,
+    Fcfs, GreedySelector, Meter, NullSelector, PackedPlacer, PolicyStack, RandomSelector,
+    StrictHead, PAPER_QUANTUM_US,
 };
 
 /// Gang scheduling + rotation, first-fit in list order, with the paper's
@@ -56,7 +56,7 @@ pub fn round_robin_gang_with_quantum(quantum_us: u64) -> PolicyStack {
     PolicyStack::new(
         "RoundRobinGang",
         quantum_us,
-        Box::new(RawRateEstimator::new()),
+        Some(Meter::raw()),
         Box::new(Fcfs),
         Box::new(NullSelector),
         Box::new(PackedPlacer),
@@ -69,7 +69,7 @@ pub fn random_gang(seed: u64) -> PolicyStack {
     PolicyStack::new(
         "RandomGang",
         PAPER_QUANTUM_US,
-        Box::new(RawRateEstimator::new()),
+        Some(Meter::raw()),
         Box::new(StrictHead),
         Box::new(RandomSelector::new(seed)),
         Box::new(PackedPlacer),
@@ -83,7 +83,7 @@ pub fn greedy_pack() -> PolicyStack {
     PolicyStack::new(
         "GreedyPack",
         PAPER_QUANTUM_US,
-        Box::new(RawRateEstimator::new()),
+        Some(Meter::raw()),
         Box::new(StrictHead),
         Box::new(GreedySelector),
         Box::new(PackedPlacer),
@@ -851,17 +851,17 @@ mod tests {
         assert_eq!(round_robin_gang().name(), "RoundRobinGang");
         assert_eq!(
             round_robin_gang().stage_labels(),
-            ["RawRate", "fcfs", "none", "packed"]
+            ["raw", "fcfs", "none", "packed"]
         );
         assert_eq!(random_gang(1).name(), "RandomGang");
         assert_eq!(
             random_gang(1).stage_labels(),
-            ["RawRate", "strict-head", "random", "packed"]
+            ["raw", "strict-head", "random", "packed"]
         );
         assert_eq!(greedy_pack().name(), "GreedyPack");
         assert_eq!(
             greedy_pack().stage_labels(),
-            ["RawRate", "strict-head", "greedy", "packed"]
+            ["raw", "strict-head", "greedy", "packed"]
         );
     }
 

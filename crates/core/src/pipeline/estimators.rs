@@ -1,5 +1,5 @@
-//! Estimator stages: the measurement bookkeeping each policy family used
-//! to carry inline, factored out of the monolithic schedulers.
+//! The estimate stage: [`Meter`], the one measurement path (§4) shared by
+//! every bandwidth-aware stack.
 
 use std::collections::BTreeMap;
 
@@ -7,12 +7,12 @@ use busbw_perfmon::EventKind;
 use busbw_sim::{AppId, MachineView, SimTime};
 use busbw_trace::TraceEvent;
 
-use super::{Estimator, StageCtx, PAPER_SAMPLES_PER_QUANTUM};
-use crate::estimator::BandwidthEstimator;
-use crate::reconstruct::DemandTracker;
+use super::{StageCtx, PAPER_SAMPLES_PER_QUANTUM};
+use crate::estimator::{BandwidthEstimator, LatestQuantumEstimator};
+use crate::reconstruct::reconstruct;
 
 /// Total transactions issued so far by `app`'s threads.
-pub(crate) fn app_tx(view: &MachineView<'_>, app: AppId) -> f64 {
+fn app_tx(view: &MachineView<'_>, app: AppId) -> f64 {
     view.app(app)
         .map(|a| {
             a.threads
@@ -23,15 +23,16 @@ pub(crate) fn app_tx(view: &MachineView<'_>, app: AppId) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// The paper policies' measurement path (§4): counter deltas are
-/// equipartitioned over a job's threads, passed through demand
-/// reconstruction (consumption × mean dilation — under saturation a raw
-/// measurement is only a lower bound on the requirement), and fed to a
-/// [`BandwidthEstimator`] — whole-quantum rates at quantum boundaries and
-/// finer-grained rates at the twice-per-quantum counter samples.
-pub struct ReconstructingEstimator {
-    inner: Box<dyn BandwidthEstimator>,
-    samples_per_quantum: u32,
+/// The paper's measurement rule (§4): counter deltas are equipartitioned
+/// over a job's threads, passed through demand reconstruction
+/// (consumption × mean dilation — under saturation a raw measurement is
+/// only a lower bound on the requirement, see [`mod@crate::reconstruct`]),
+/// and fed to a [`BandwidthEstimator`] rule: whole-quantum rates at
+/// quantum boundaries, and finer-grained rates at the twice-per-quantum
+/// counter samples when the meter samples at all.
+pub struct Meter {
+    rule: Box<dyn BandwidthEstimator>,
+    sampled: bool,
     /// Jobs committed for the current quantum.
     running: Vec<AppId>,
     /// Per-app cumulative transaction totals at the last quantum boundary.
@@ -43,27 +44,25 @@ pub struct ReconstructingEstimator {
     /// IOQ-dilation integral at the last quantum boundary / sample.
     dilation_at_boundary: f64,
     dilation_at_sample: f64,
-    demand: DemandTracker,
 }
 
-impl ReconstructingEstimator {
-    /// Wrap `inner` with the paper's two samples per quantum.
-    pub fn new(inner: Box<dyn BandwidthEstimator>) -> Self {
-        Self::with_samples(inner, PAPER_SAMPLES_PER_QUANTUM)
+impl Meter {
+    /// The paper's meter: `rule` fed at quantum boundaries and at two
+    /// counter samples per quantum.
+    pub fn sampled(rule: Box<dyn BandwidthEstimator>) -> Self {
+        Self::with_rule(rule, true)
     }
 
-    /// Wrap `inner` with a custom sampling rate.
-    ///
-    /// # Panics
-    /// Panics if `samples_per_quantum` is zero.
-    pub fn with_samples(inner: Box<dyn BandwidthEstimator>, samples_per_quantum: u32) -> Self {
-        assert!(
-            samples_per_quantum >= 1,
-            "need at least one sample per quantum"
-        );
+    /// The comparators' meter: the Latest rule over whole quanta, with no
+    /// mid-quantum samples.
+    pub fn raw() -> Self {
+        Self::with_rule(Box::new(LatestQuantumEstimator::new()), false)
+    }
+
+    fn with_rule(rule: Box<dyn BandwidthEstimator>, sampled: bool) -> Self {
         Self {
-            inner,
-            samples_per_quantum,
+            rule,
+            sampled,
             running: Vec::new(),
             quantum_snapshot: BTreeMap::new(),
             sample_snapshot: BTreeMap::new(),
@@ -71,17 +70,22 @@ impl ReconstructingEstimator {
             last_sample_us: 0,
             dilation_at_boundary: 0.0,
             dilation_at_sample: 0.0,
-            demand: DemandTracker::new(),
         }
     }
-}
 
-impl Estimator for ReconstructingEstimator {
-    fn label(&self) -> &'static str {
-        self.inner.label()
+    /// Short display name: the rule's ("Latest" / "Window" / "EWMA") for
+    /// a sampled meter, "raw" otherwise.
+    pub fn label(&self) -> &'static str {
+        if self.sampled {
+            self.rule.label()
+        } else {
+            "raw"
+        }
     }
 
-    fn settle(&mut self, ctx: &StageCtx<'_, '_>) {
+    /// Settle the quantum that just ended: record the reconstructed rate
+    /// of every job committed at the previous [`Meter::commit`].
+    pub fn settle(&mut self, ctx: &StageCtx<'_, '_>) {
         let view = ctx.view;
         let dt = view.now.saturating_sub(self.last_boundary_us);
         if dt == 0 {
@@ -90,11 +94,10 @@ impl Estimator for ReconstructingEstimator {
         let lambda = (view.dilation_integral - self.dilation_at_boundary) / dt as f64;
         for &app in &self.running {
             let Some(info) = view.app(app) else { continue };
-            let total = app_tx(view, app);
             let before = self.quantum_snapshot.get(&app).copied().unwrap_or(0.0);
-            let width = info.threads.len().max(1);
-            let per_thread = (total - before).max(0.0) / dt as f64 / width as f64;
-            let rec = self.demand.observe_detailed(app, per_thread, lambda);
+            let per_thread =
+                (app_tx(view, app) - before).max(0.0) / dt as f64 / info.width().max(1) as f64;
+            let rec = reconstruct(per_thread, lambda);
             if ctx.tracer.emits() {
                 ctx.tracer.emit(TraceEvent::Reconstruct {
                     at_us: view.now,
@@ -104,16 +107,18 @@ impl Estimator for ReconstructingEstimator {
                     demand_per_thread: rec.demand_per_thread,
                 });
             }
-            self.inner.record_quantum(app, rec.demand_per_thread);
+            self.rule.record_quantum(app, rec.demand_per_thread);
         }
     }
 
-    fn estimate(&self, app: AppId) -> f64 {
-        self.inner.estimate(app)
+    /// Current `BBW/thread` estimate; `0.0` for never-measured jobs.
+    pub fn estimate(&self, app: AppId) -> f64 {
+        self.rule.estimate(app)
     }
 
-    fn commit(&mut self, ctx: &StageCtx<'_, '_>, admitted: &[AppId]) {
-        let view = ctx.view;
+    /// A new quantum starts with `admitted` running: snapshot their
+    /// counters and the dilation integral.
+    pub fn commit(&mut self, view: &MachineView<'_>, admitted: &[AppId]) {
         for &app in admitted {
             let t = app_tx(view, app);
             self.quantum_snapshot.insert(app, t);
@@ -126,8 +131,9 @@ impl Estimator for ReconstructingEstimator {
         self.dilation_at_sample = view.dilation_integral;
     }
 
-    fn on_sample(&mut self, ctx: &StageCtx<'_, '_>) {
-        let view = ctx.view;
+    /// A mid-quantum counter sample: record each running job's
+    /// reconstructed rate since the previous sample.
+    pub fn on_sample(&mut self, view: &MachineView<'_>) {
         let dt = view.now.saturating_sub(self.last_sample_us);
         if dt == 0 {
             return;
@@ -137,197 +143,160 @@ impl Estimator for ReconstructingEstimator {
             let Some(info) = view.app(app) else { continue };
             let total = app_tx(view, app);
             let before = self.sample_snapshot.get(&app).copied().unwrap_or(0.0);
-            let width = info.threads.len().max(1);
-            let per_thread = (total - before).max(0.0) / dt as f64 / width as f64;
-            let demand = self.demand.observe(app, per_thread, lambda);
-            self.inner.record_sample(app, demand);
+            let per_thread = (total - before).max(0.0) / dt as f64 / info.width().max(1) as f64;
+            self.rule
+                .record_sample(app, reconstruct(per_thread, lambda).demand_per_thread);
             self.sample_snapshot.insert(app, total);
         }
         self.dilation_at_sample = view.dilation_integral;
         self.last_sample_us = view.now;
     }
 
-    fn sample_period_us(&self, quantum_us: u64) -> Option<u64> {
-        Some(quantum_us / self.samples_per_quantum as u64)
+    /// The sampling period to request from the machine: half a quantum
+    /// for a sampled meter, none otherwise.
+    pub fn sample_period_us(&self, quantum_us: u64) -> Option<u64> {
+        self.sampled
+            .then(|| quantum_us / u64::from(PAPER_SAMPLES_PER_QUANTUM))
     }
 
-    fn forget(&mut self, app: AppId) {
+    /// Drop all state for a finished job.
+    pub fn forget(&mut self, app: AppId) {
         self.quantum_snapshot.remove(&app);
         self.sample_snapshot.remove(&app);
-        self.inner.forget(app);
-        self.demand.forget(app);
+        self.rule.forget(app);
     }
-}
-
-/// The comparator gang schedulers' simpler measurement: whole-quantum
-/// counter deltas per thread, scaled by the mean dilation (clamped to
-/// ≥ 1), with no mid-quantum sampling and no demand reconstruction.
-#[derive(Default)]
-pub struct RawRateEstimator {
-    running: Vec<AppId>,
-    snapshot: BTreeMap<AppId, f64>,
-    last_boundary_us: SimTime,
-    dilation_at_boundary: f64,
-    /// Last measured per-thread rate.
-    rates: BTreeMap<AppId, f64>,
-}
-
-impl RawRateEstimator {
-    /// A fresh estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Estimator for RawRateEstimator {
-    fn label(&self) -> &'static str {
-        "RawRate"
-    }
-
-    fn settle(&mut self, ctx: &StageCtx<'_, '_>) {
-        let view = ctx.view;
-        let dt = view.now.saturating_sub(self.last_boundary_us);
-        if dt == 0 {
-            return;
-        }
-        let lambda = ((view.dilation_integral - self.dilation_at_boundary) / dt as f64).max(1.0);
-        for &app in &self.running {
-            let Some(info) = view.app(app) else { continue };
-            let total = app_tx(view, app);
-            let before = self.snapshot.get(&app).copied().unwrap_or(0.0);
-            let rate = (total - before).max(0.0) / dt as f64 / info.width().max(1) as f64 * lambda;
-            self.rates.insert(app, rate);
-        }
-    }
-
-    fn estimate(&self, app: AppId) -> f64 {
-        self.rates.get(&app).copied().unwrap_or(0.0)
-    }
-
-    fn commit(&mut self, ctx: &StageCtx<'_, '_>, admitted: &[AppId]) {
-        let view = ctx.view;
-        for &app in admitted {
-            self.snapshot.insert(app, app_tx(view, app));
-        }
-        self.running = admitted.to_vec();
-        self.last_boundary_us = view.now;
-        self.dilation_at_boundary = view.dilation_integral;
-    }
-
-    fn forget(&mut self, app: AppId) {
-        self.rates.remove(&app);
-        self.snapshot.remove(&app);
-    }
-}
-
-/// No estimation at all — for stacks whose selector ignores bandwidth
-/// entirely (the Linux baselines).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullEstimator;
-
-impl Estimator for NullEstimator {
-    fn label(&self) -> &'static str {
-        "Null"
-    }
-
-    fn settle(&mut self, _ctx: &StageCtx<'_, '_>) {}
-
-    fn estimate(&self, _app: AppId) -> f64 {
-        0.0
-    }
-
-    fn commit(&mut self, _ctx: &StageCtx<'_, '_>, _admitted: &[AppId]) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::LatestQuantumEstimator;
-    use busbw_sim::{AppDescriptor, ConstantDemand, Machine, ThreadSpec, XEON_4WAY};
+    use crate::estimator::QuantaWindowEstimator;
+    use crate::pipeline::{NullSelector, Open, PackedPlacer, PolicyStack, PAPER_QUANTUM_US};
+    use busbw_sim::{
+        AppDescriptor, Assignment, ConstantDemand, CpuId, Decision, Machine, Scheduler,
+        StopCondition, ThreadSpec, XEON_4WAY,
+    };
     use busbw_trace::EventBus;
 
-    #[test]
-    fn reconstructing_estimator_rejects_zero_samples() {
-        let r = std::panic::catch_unwind(|| {
-            ReconstructingEstimator::with_samples(Box::new(LatestQuantumEstimator::new()), 0)
+    fn two_thread_app(m: &mut Machine) -> AppId {
+        let threads = (0..2)
+            .map(|_| ThreadSpec::new(f64::INFINITY, Box::new(ConstantDemand::new(4.0, 0.5))))
+            .collect();
+        m.add_app(AppDescriptor::new("a", threads))
+    }
+
+    /// Run `app` alone on the first cpus for `us`.
+    fn run_alone(m: &mut Machine, app: AppId, us: u64) {
+        let assignments: Vec<Assignment> = m
+            .view()
+            .app(app)
+            .unwrap()
+            .threads
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| Assignment {
+                thread: t,
+                cpu: CpuId(i),
+            })
+            .collect();
+        let d = Decision {
+            assignments,
+            next_resched_in_us: us,
+            sample_period_us: None,
+        };
+        let until = m.now() + us;
+        let _ = m.run(
+            &mut busbw_sim::testkit::Replay::new(d),
+            StopCondition::At(until),
+        );
+    }
+
+    fn settle(meter: &mut Meter, m: &Machine) {
+        let view = m.view();
+        let bus = EventBus::off();
+        meter.settle(&StageCtx {
+            view: &view,
+            tracer: &bus,
         });
-        assert!(r.is_err());
     }
 
     #[test]
     fn sample_periods_follow_the_configured_rate() {
-        let e = ReconstructingEstimator::new(Box::new(LatestQuantumEstimator::new()));
-        assert_eq!(e.sample_period_us(200_000), Some(100_000));
-        let e3 = ReconstructingEstimator::with_samples(Box::new(LatestQuantumEstimator::new()), 4);
-        assert_eq!(e3.sample_period_us(200_000), Some(50_000));
-        assert_eq!(RawRateEstimator::new().sample_period_us(200_000), None);
-        assert_eq!(NullEstimator.sample_period_us(200_000), None);
+        let sampled = Meter::sampled(Box::new(QuantaWindowEstimator::new()));
+        assert_eq!(sampled.sample_period_us(200_000), Some(100_000));
+        assert_eq!(sampled.label(), "Window");
+        let raw = Meter::raw();
+        assert_eq!(raw.sample_period_us(200_000), None);
+        assert_eq!(raw.label(), "raw");
     }
 
     #[test]
     fn null_estimator_is_inert() {
-        let m = Machine::new(XEON_4WAY);
-        let bus = EventBus::off();
-        let view = m.view();
-        let ctx = StageCtx {
-            view: &view,
-            tracer: &bus,
-        };
-        let mut e = NullEstimator;
-        e.settle(&ctx);
-        e.commit(&ctx, &[]);
-        assert_eq!(e.estimate(AppId(3)), 0.0);
-        assert_eq!(e.label(), "Null");
+        // `estimator=null` is a stack with no meter: no samples requested,
+        // and every job reads as bandwidth-free even after it ran.
+        let mut m = Machine::new(XEON_4WAY);
+        let a = two_thread_app(&mut m);
+        let mut s = PolicyStack::new(
+            "null",
+            PAPER_QUANTUM_US,
+            None,
+            Box::new(Open),
+            Box::new(NullSelector),
+            Box::new(PackedPlacer),
+        );
+        assert_eq!(s.stage_labels()[0], "none");
+        let d = s.schedule(&m.view());
+        assert_eq!(d.sample_period_us, None);
+        run_alone(&mut m, a, PAPER_QUANTUM_US);
+        let _ = s.schedule(&m.view());
+        assert_eq!(s.estimate(a), 0.0);
     }
 
     #[test]
     fn raw_rate_measures_committed_jobs_only() {
         let mut m = Machine::new(XEON_4WAY);
-        let threads = (0..2)
-            .map(|_| ThreadSpec::new(f64::INFINITY, Box::new(ConstantDemand::new(4.0, 0.5))))
-            .collect();
-        let a = m.add_app(AppDescriptor::new("a", threads));
-        let mut e = RawRateEstimator::new();
-        let bus = EventBus::off();
-        {
-            let view = m.view();
-            let ctx = StageCtx {
-                view: &view,
-                tracer: &bus,
-            };
-            e.commit(&ctx, &[a]);
-        }
-        // Run the app for a quantum, then settle.
-        let assignments: Vec<busbw_sim::Assignment> = {
-            let view = m.view();
-            let info = view.app(a).unwrap();
-            info.threads
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| busbw_sim::Assignment {
-                    thread: t,
-                    cpu: busbw_sim::CpuId(i),
-                })
-                .collect()
-        };
-        let d = busbw_sim::Decision {
-            assignments,
-            next_resched_in_us: 200_000,
-            sample_period_us: None,
-        };
-        let _ = m.run(
-            &mut busbw_sim::testkit::Replay::new(d),
-            busbw_sim::StopCondition::At(200_000),
-        );
-        let view = m.view();
-        let ctx = StageCtx {
-            view: &view,
-            tracer: &bus,
-        };
-        e.settle(&ctx);
+        let a = two_thread_app(&mut m);
+        let mut e = Meter::raw();
+        // Not committed: a quantum of running is not measured.
+        run_alone(&mut m, a, 200_000);
+        settle(&mut e, &m);
+        assert_eq!(e.estimate(a), 0.0);
+        e.commit(&m.view(), &[a]);
+        run_alone(&mut m, a, 200_000);
+        settle(&mut e, &m);
         let est = e.estimate(a);
         assert!((2.0..6.5).contains(&est), "raw rate estimate {est}");
         e.forget(a);
         assert_eq!(e.estimate(a), 0.0);
+    }
+
+    #[test]
+    fn raw_meter_records_consumption_times_clamped_dilation() {
+        // Alone on an uncontended bus Λ̄ ≤ 1 clamps to 1, so the recorded
+        // rate is exactly the per-thread counter delta over the quantum.
+        let mut m = Machine::new(XEON_4WAY);
+        let a = two_thread_app(&mut m);
+        let mut e = Meter::raw();
+        e.commit(&m.view(), &[a]);
+        let before = app_tx(&m.view(), a);
+        run_alone(&mut m, a, 200_000);
+        let view = m.view();
+        let lambda = view.dilation_integral / 200_000.0;
+        let per_thread = (app_tx(&view, a) - before) / 200_000.0 / 2.0;
+        settle(&mut e, &m);
+        assert_eq!(e.estimate(a), per_thread * lambda.max(1.0));
+    }
+
+    #[test]
+    fn sampled_meter_feeds_mid_quantum_samples_to_the_rule() {
+        let mut m = Machine::new(XEON_4WAY);
+        let a = two_thread_app(&mut m);
+        let mut e = Meter::sampled(Box::new(QuantaWindowEstimator::new()));
+        e.commit(&m.view(), &[a]);
+        run_alone(&mut m, a, 100_000);
+        e.on_sample(&m.view());
+        // The window rule averages samples only: one sample is in.
+        let est = e.estimate(a);
+        assert!((2.0..6.5).contains(&est), "windowed estimate {est}");
     }
 }

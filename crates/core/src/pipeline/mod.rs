@@ -3,14 +3,16 @@
 //! Every scheduler in this crate is a composition of four stages, even
 //! though the paper presents them as whole algorithms:
 //!
-//! 1. [`Estimator`] — settle the finished interval's counter measurements
-//!    into per-job `BBW/thread` estimates (absorbing
-//!    [`crate::BandwidthEstimator`] for the paper's policies);
+//! 1. [`Meter`] — settle the finished interval's counter measurements
+//!    into per-job `BBW/thread` estimates through a
+//!    [`crate::BandwidthEstimator`] rule; a stack without a meter is
+//!    bandwidth-oblivious (the Linux baselines);
 //! 2. [`Admission`] — the unconditional admissions: the paper's
 //!    head-of-list starvation-freedom rule, FCFS fill, or nothing;
 //! 3. [`Selector`] — fill the remaining processors: the Eq. (1)/(2)
 //!    fitness maximization, random/greedy comparators, a model-driven
-//!    lookahead, or a pinned non-gang schedule (the Linux baselines);
+//!    lookahead or optimizer, or a pinned non-gang schedule (the Linux
+//!    baselines);
 //! 4. [`Placer`] — map admitted gangs onto cpus (packed affinity,
 //!    scatter, SMT-aware, plus the socket-aware `pack_local`,
 //!    `spread_sockets`, and `migrate` placers for multi-socket
@@ -18,9 +20,9 @@
 //!
 //! [`PolicyStack`] composes one of each into a [`Scheduler`]. The named
 //! presets (`bus_aware`, `linux_like`, `linux_o1`, `round_robin_gang`,
-//! `random_gang`, `greedy_pack`) reproduce the pre-pipeline monolithic
-//! schedulers *bit for bit* — the golden-decision tests in
-//! `busbw-experiments` pin their decision streams.
+//! `random_gang`, `greedy_pack`, `model_driven`) reproduce the
+//! pre-pipeline monolithic schedulers *bit for bit* — the golden-decision
+//! tests in `busbw-experiments` pin their decision streams.
 //!
 //! Each stage emits a [`TraceEvent::StageDecision`] when tracing is on
 //! (deterministic payloads only), and the stack accumulates per-stage
@@ -33,7 +35,7 @@ pub mod placers;
 pub mod selectors;
 
 pub use admission::{Fcfs, HeadOfList, Open, StrictHead, WidestFirst};
-pub use estimators::{NullEstimator, RawRateEstimator, ReconstructingEstimator};
+pub use estimators::Meter;
 pub use placers::{
     place_packed, MigrateOnSaturationPlacer, PackLocalPlacer, PackedPlacer, ScatterPlacer,
     SmtAwarePlacer, SpreadSocketsPlacer,
@@ -68,46 +70,6 @@ pub struct StageCtx<'a, 'v> {
     /// Structured-trace bus (stages may emit their own events, e.g. the
     /// fitness selector's `GangSelected`).
     pub tracer: &'a EventBus,
-}
-
-/// Stage 1: turn counter measurements into `BBW/thread` estimates.
-///
-/// The estimator owns the measurement bookkeeping a policy needs between
-/// quanta: counter snapshots, dilation integrals, and the set of jobs that
-/// ran (so [`Estimator::settle`] knows whom to charge).
-pub trait Estimator: Send {
-    /// Short display name (doubles as the preset stack's name for the
-    /// paper policies: "Latest" / "Window").
-    fn label(&self) -> &'static str;
-
-    /// Settle the interval that just ended: read counters for the jobs
-    /// admitted at the previous [`Estimator::commit`] and update estimates.
-    fn settle(&mut self, ctx: &StageCtx<'_, '_>);
-
-    /// Current `BBW/thread` estimate; `0.0` for never-measured jobs.
-    fn estimate(&self, app: AppId) -> f64;
-
-    /// A new quantum starts with `admitted` running: snapshot counters and
-    /// remember the set for the next [`Estimator::settle`].
-    fn commit(&mut self, ctx: &StageCtx<'_, '_>, admitted: &[AppId]);
-
-    /// Mid-quantum counter sample (only called when
-    /// [`Estimator::sample_period_us`] returns `Some`).
-    fn on_sample(&mut self, ctx: &StageCtx<'_, '_>) {
-        let _ = ctx;
-    }
-
-    /// Sampling period to request from the machine, if this estimator
-    /// consumes mid-quantum samples.
-    fn sample_period_us(&self, quantum_us: u64) -> Option<u64> {
-        let _ = quantum_us;
-        None
-    }
-
-    /// Drop all state for a finished job.
-    fn forget(&mut self, app: AppId) {
-        let _ = app;
-    }
 }
 
 /// Stage 2: unconditional admissions, before any scoring.
@@ -167,10 +129,12 @@ pub trait Placer: Send {
 /// The stack owns the circular applications list (refresh + ran-to-end
 /// rotation — identical across every gang policy in the paper) and drives
 /// the four stages per reschedule; stages own their policy-specific state.
+/// With no [`Meter`] the stack is bandwidth-oblivious: it measures
+/// nothing, requests no samples, and every candidate reads `0.0`.
 pub struct PolicyStack {
     name: String,
     quantum_us: u64,
-    estimator: Box<dyn Estimator>,
+    meter: Option<Meter>,
     admission: Box<dyn Admission>,
     selector: Box<dyn Selector>,
     placer: Box<dyn Placer>,
@@ -178,7 +142,7 @@ pub struct PolicyStack {
     order: Vec<AppId>,
     /// Jobs scheduled in the current quantum.
     running: Vec<AppId>,
-    /// Jobs ever committed (to detect deaths and forget estimator state).
+    /// Jobs ever committed (to detect deaths and forget meter state).
     known: BTreeSet<AppId>,
     tracer: EventBus,
     timings: StageTimings,
@@ -197,7 +161,7 @@ impl PolicyStack {
     pub fn new(
         name: impl Into<String>,
         quantum_us: u64,
-        estimator: Box<dyn Estimator>,
+        meter: Option<Meter>,
         admission: Box<dyn Admission>,
         selector: Box<dyn Selector>,
         placer: Box<dyn Placer>,
@@ -206,7 +170,7 @@ impl PolicyStack {
         Self {
             name: name.into(),
             quantum_us,
-            estimator,
+            meter,
             admission,
             selector,
             placer,
@@ -234,13 +198,13 @@ impl PolicyStack {
 
     /// Current `BBW/thread` estimate for a job (for tests and reports).
     pub fn estimate(&self, app: AppId) -> f64 {
-        self.estimator.estimate(app)
+        self.meter.as_ref().map_or(0.0, |m| m.estimate(app))
     }
 
     /// The composed stage labels, in pipeline order.
     pub fn stage_labels(&self) -> [&'static str; 4] {
         [
-            self.estimator.label(),
+            self.meter.as_ref().map_or("none", Meter::label),
             self.admission.label(),
             self.selector.label(),
             self.placer.label(),
@@ -249,8 +213,8 @@ impl PolicyStack {
 
     /// Keep `order` in sync with the machine's live applications: drop
     /// finished jobs, append newly arrived ones (ascending id — the order
-    /// `MachineView::live_apps` reports), and forget estimator state for
-    /// jobs that died.
+    /// `MachineView::live_apps` reports), and forget meter state for jobs
+    /// that died.
     fn refresh_job_list(&mut self, view: &MachineView<'_>) {
         let live = view.live_apps();
         let mut present: BTreeSet<AppId> = live.iter().copied().collect();
@@ -269,7 +233,9 @@ impl PolicyStack {
             .collect();
         for a in dead {
             self.known.remove(&a);
-            self.estimator.forget(a);
+            if let Some(m) = &mut self.meter {
+                m.forget(a);
+            }
         }
     }
 
@@ -296,7 +262,9 @@ impl Scheduler for PolicyStack {
         // circular list (refresh + rotate jobs that ran to the end), and
         // enumerate candidates with their current estimates.
         let t_est = Instant::now();
-        self.estimator.settle(&ctx);
+        if let Some(m) = &mut self.meter {
+            m.settle(&ctx);
+        }
         self.refresh_job_list(view);
         let ran: Vec<AppId> = self
             .order
@@ -313,7 +281,7 @@ impl Scheduler for PolicyStack {
                 view.app(app).map(|info| Candidate {
                     key: app,
                     width: info.width(),
-                    bbw_per_thread: self.estimator.estimate(app),
+                    bbw_per_thread: self.estimate(app),
                 })
             })
             .collect();
@@ -369,7 +337,7 @@ impl Scheduler for PolicyStack {
                 (admitted, assignments)
             }
             Selection::Pinned(assignments) => {
-                // Derive the admitted set for the estimator's bookkeeping
+                // Derive the admitted set for the meter's bookkeeping
                 // (first-seen order).
                 let mut admitted = Vec::new();
                 for a in &assignments {
@@ -385,10 +353,12 @@ impl Scheduler for PolicyStack {
         self.timings.stages[3].record_ns(t_place.elapsed().as_nanos() as u64);
         self.emit_stage(view.now, PipelineStage::Place, assignments.len());
 
-        // Commit the new quantum into the estimator's bookkeeping (counted
-        // as estimate-stage time: it is the measurement half-step).
+        // Commit the new quantum into the meter's bookkeeping (counted as
+        // estimate-stage time: it is the measurement half-step).
         let t_commit = Instant::now();
-        self.estimator.commit(&ctx, &admitted);
+        if let Some(m) = &mut self.meter {
+            m.commit(view, &admitted);
+        }
         self.known.extend(admitted.iter().copied());
         if self.introspect {
             self.snapshot = Some(StageSnapshot {
@@ -406,18 +376,18 @@ impl Scheduler for PolicyStack {
         Decision {
             assignments,
             next_resched_in_us: self.quantum_us,
-            sample_period_us: self.estimator.sample_period_us(self.quantum_us),
+            sample_period_us: self
+                .meter
+                .as_ref()
+                .and_then(|m| m.sample_period_us(self.quantum_us)),
         }
     }
 
     fn on_sample(&mut self, view: &MachineView<'_>) {
-        let tracer = self.tracer.clone();
-        let ctx = StageCtx {
-            view,
-            tracer: &tracer,
-        };
         let t = Instant::now();
-        self.estimator.on_sample(&ctx);
+        if let Some(m) = &mut self.meter {
+            m.on_sample(view);
+        }
         self.timings.stages[0].record_ns(t.elapsed().as_nanos() as u64);
     }
 
@@ -446,7 +416,7 @@ impl Scheduler for PolicyStack {
 }
 
 /// A [`Selector`] driven directly as a [`Scheduler`], with no surrounding
-/// pipeline — no estimator, admission, placer, trace emission, or timing.
+/// pipeline — no meter, admission, placer, trace emission, or timing.
 ///
 /// Two uses: unit tests that need the selector's own accessors (e.g. the
 /// Linux baseline's epoch counter), and the `experiments bench pipeline`
@@ -501,7 +471,6 @@ impl<S: Selector> Scheduler for SoloSelector<S> {
 #[cfg(test)]
 mod tests {
     use super::admission::{Fcfs, HeadOfList, Open};
-    use super::estimators::NullEstimator;
     use super::placers::PackedPlacer;
     use super::selectors::{FitnessSelector, NullSelector};
     use super::*;
@@ -522,7 +491,7 @@ mod tests {
         PolicyStack::new(
             "test",
             PAPER_QUANTUM_US,
-            Box::new(NullEstimator),
+            None,
             Box::new(HeadOfList),
             Box::new(FitnessSelector),
             Box::new(PackedPlacer),
@@ -534,7 +503,7 @@ mod tests {
         let s = stack();
         assert_eq!(s.name(), "test");
         assert_eq!(s.quantum_us(), PAPER_QUANTUM_US);
-        assert_eq!(s.stage_labels(), ["Null", "head", "fitness", "packed"]);
+        assert_eq!(s.stage_labels(), ["none", "head", "fitness", "packed"]);
     }
 
     #[test]
@@ -544,7 +513,10 @@ mod tests {
         let d = s.schedule(&m.view());
         assert_eq!(d.assignments.len(), 4, "both 2-wide gangs fit 4 cpus");
         assert_eq!(d.next_resched_in_us, PAPER_QUANTUM_US);
-        assert_eq!(d.sample_period_us, None, "null estimator never samples");
+        assert_eq!(
+            d.sample_period_us, None,
+            "a stack without a meter never samples"
+        );
         let t = s.stage_timings().expect("stacks expose timings");
         assert!(t.stages.iter().all(|st| st.calls == 1));
     }
@@ -575,7 +547,7 @@ mod tests {
         let mut s = PolicyStack::new(
             "rr",
             PAPER_QUANTUM_US,
-            Box::new(NullEstimator),
+            None,
             Box::new(Fcfs),
             Box::new(NullSelector),
             Box::new(PackedPlacer),
@@ -600,7 +572,7 @@ mod tests {
         let mut s = PolicyStack::new(
             "idle",
             PAPER_QUANTUM_US,
-            Box::new(NullEstimator),
+            None,
             Box::new(Open),
             Box::new(NullSelector),
             Box::new(PackedPlacer),

@@ -28,13 +28,13 @@
 //! `MachineView::dilation_integral`; the real-thread CPU manager accepts
 //! it through [`crate::manager::CpuManager::note_dilation`].
 //!
-//! Reconstruction is part of the *measurement* layer: both policies (and
-//! the ablation comparators) receive reconstructed requirements, so the
-//! Latest-vs-Window comparison stays exactly the paper's.
-
-use std::collections::BTreeMap;
-
-use busbw_sim::AppId;
+//! Reconstruction is part of the *measurement* layer: [`reconstruct`] is a
+//! pure function that the pipeline's [`crate::pipeline::Meter`] and the
+//! CPU manager both call before handing a rate to their
+//! [`crate::BandwidthEstimator`]. Both policies, the ablation comparators
+//! and the model-driven comparator therefore receive reconstructed
+//! requirements, so the Latest-vs-Window comparison stays exactly the
+//! paper's.
 
 /// One reconstruction step: the clamped inputs and the output, as fed to
 /// the estimator (the trace layer's "reconstruction inputs/outputs").
@@ -49,58 +49,19 @@ pub struct Reconstruction {
     pub demand_per_thread: f64,
 }
 
-/// Reconstructs per-thread bandwidth requirements from observations.
-#[derive(Debug, Default, Clone)]
-pub struct DemandTracker {
-    est: BTreeMap<AppId, f64>,
-}
-
-impl DemandTracker {
-    /// A tracker with no observations.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one observation for `app`.
-    ///
-    /// * `measured_per_thread` — consumed bandwidth per thread over the
-    ///   interval (tx/µs);
-    /// * `dilation` — the average bus dilation Λ̄ over the interval (1 =
-    ///   uncontended; values below 1 are clamped).
-    ///
-    /// Returns the reconstructed requirement per thread.
-    pub fn observe(&mut self, app: AppId, measured_per_thread: f64, dilation: f64) -> f64 {
-        self.observe_detailed(app, measured_per_thread, dilation)
-            .demand_per_thread
-    }
-
-    /// [`DemandTracker::observe`], returning the full [`Reconstruction`]
-    /// record (clamped inputs plus output) for tracing.
-    pub fn observe_detailed(
-        &mut self,
-        app: AppId,
-        measured_per_thread: f64,
-        dilation: f64,
-    ) -> Reconstruction {
-        let measured = measured_per_thread.max(0.0);
-        let dilation = dilation.max(1.0);
-        let est = measured * dilation;
-        self.est.insert(app, est);
-        Reconstruction {
-            measured_per_thread: measured,
-            dilation,
-            demand_per_thread: est,
-        }
-    }
-
-    /// Current requirement estimate (0 for never-observed jobs).
-    pub fn estimate(&self, app: AppId) -> f64 {
-        self.est.get(&app).copied().unwrap_or(0.0)
-    }
-
-    /// Drop a finished job.
-    pub fn forget(&mut self, app: AppId) {
-        self.est.remove(&app);
+/// Reconstruct one interval's per-thread requirement from its consumption.
+///
+/// * `measured_per_thread` — consumed bandwidth per thread over the
+///   interval (tx/µs; negative values are clamped to 0);
+/// * `dilation` — the average bus dilation Λ̄ over the interval (1 =
+///   uncontended; values below 1 are clamped).
+pub fn reconstruct(measured_per_thread: f64, dilation: f64) -> Reconstruction {
+    let measured = measured_per_thread.max(0.0);
+    let dilation = dilation.max(1.0);
+    Reconstruction {
+        measured_per_thread: measured,
+        dilation,
+        demand_per_thread: measured * dilation,
     }
 }
 
@@ -108,66 +69,44 @@ impl DemandTracker {
 mod tests {
     use super::*;
 
-    const A: AppId = AppId(1);
+    fn demand(measured: f64, dilation: f64) -> f64 {
+        reconstruct(measured, dilation).demand_per_thread
+    }
 
     #[test]
     fn uncontended_observations_are_exact() {
-        let mut t = DemandTracker::new();
-        assert_eq!(t.observe(A, 11.65, 1.0), 11.65);
+        assert_eq!(demand(11.65, 1.0), 11.65);
         // Downward phase change on an uncontended bus is believed at once.
-        assert_eq!(t.observe(A, 2.0, 1.0), 2.0);
-        assert_eq!(t.estimate(A), 2.0);
+        assert_eq!(demand(2.0, 1.0), 2.0);
     }
 
     #[test]
     fn saturated_observations_are_inflated_by_dilation() {
-        let mut t = DemandTracker::new();
         // CG-class job throttled to 4.87 tx/µs/thread at Λ̄ = 2.63 —
         // reconstruction recovers ≈ its 11.65 true demand (µ < 1 gives a
         // slight overestimate, which is the safe direction).
-        let est = t.observe(A, 4.87, 2.63);
+        let est = demand(4.87, 2.63);
         assert!((11.0..13.5).contains(&est), "reconstructed {est}");
     }
 
     #[test]
     fn low_rate_jobs_stay_low_after_inflation() {
-        let mut t = DemandTracker::new();
         // nBBMA at deep saturation: absolute error stays negligible.
-        let est = t.observe(A, 0.0037, 3.0);
+        let est = demand(0.0037, 3.0);
         assert!(est < 0.02, "{est}");
     }
 
     #[test]
-    fn latest_observation_wins() {
-        let mut t = DemandTracker::new();
-        t.observe(A, 10.0, 2.0);
-        t.observe(A, 3.0, 1.0);
-        assert_eq!(t.estimate(A), 3.0);
-    }
-
-    #[test]
     fn dilation_below_one_is_clamped() {
-        let mut t = DemandTracker::new();
-        assert_eq!(t.observe(A, 5.0, 0.5), 5.0);
-    }
-
-    #[test]
-    fn never_observed_jobs_estimate_zero() {
-        let t = DemandTracker::new();
-        assert_eq!(t.estimate(AppId(9)), 0.0);
-    }
-
-    #[test]
-    fn forget_clears_state() {
-        let mut t = DemandTracker::new();
-        t.observe(A, 5.0, 1.0);
-        t.forget(A);
-        assert_eq!(t.estimate(A), 0.0);
+        let r = reconstruct(5.0, 0.5);
+        assert_eq!(r.dilation, 1.0);
+        assert_eq!(r.demand_per_thread, 5.0);
     }
 
     #[test]
     fn negative_measurements_are_clamped() {
-        let mut t = DemandTracker::new();
-        assert_eq!(t.observe(A, -1.0, 2.0), 0.0);
+        let r = reconstruct(-1.0, 2.0);
+        assert_eq!(r.measured_per_thread, 0.0);
+        assert_eq!(r.demand_per_thread, 0.0);
     }
 }

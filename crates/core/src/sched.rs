@@ -7,8 +7,8 @@
 //! 1. **Measure.** Counter samples are taken twice per quantum
 //!    ([`busbw_sim::Scheduler::on_sample`]); at the quantum boundary each
 //!    job that ran gets its per-thread transaction rate recorded
-//!    (equipartitioned over its threads, as in the paper) — the
-//!    [`ReconstructingEstimator`] stage.
+//!    (equipartitioned over its threads, as in the paper) — the sampled
+//!    [`Meter`] stage.
 //! 2. **Rotate.** Jobs that just ran move to the end of the (conceptually
 //!    circular) applications list — the stack's own bookkeeping.
 //! 3. **Select.** The head job is admitted unconditionally — this is the
@@ -23,53 +23,30 @@
 
 use crate::estimator::BandwidthEstimator;
 use crate::pipeline::{
-    FitnessSelector, HeadOfList, PackedPlacer, PolicyStack, ReconstructingEstimator,
-    PAPER_QUANTUM_US, PAPER_SAMPLES_PER_QUANTUM,
+    FitnessSelector, HeadOfList, Meter, PackedPlacer, PolicyStack, PAPER_QUANTUM_US,
 };
 
-/// Configuration shared by both paper policies.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyConfig {
-    /// Scheduling quantum, µs. The paper uses 200 ms — twice the Linux
-    /// quantum, after finding that 100 ms caused conflicting user/kernel
-    /// scheduling decisions and excessive context switches (§5).
-    pub quantum_us: u64,
-    /// Counter samples per quantum (the paper: 2).
-    pub samples_per_quantum: u32,
-}
-
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        Self {
-            quantum_us: PAPER_QUANTUM_US,
-            samples_per_quantum: PAPER_SAMPLES_PER_QUANTUM,
-        }
-    }
-}
-
-/// The paper's bandwidth-aware gang scheduler around an estimator, with
-/// the default (paper) configuration: head-of-list admission, fitness-max
-/// fill, packed affinity placement, 200 ms quantum sampled twice.
+/// The paper's bandwidth-aware gang scheduler around an estimator rule:
+/// head-of-list admission, fitness-max fill, packed affinity placement,
+/// 200 ms quantum sampled twice.
 pub fn bus_aware(estimator: Box<dyn BandwidthEstimator>) -> PolicyStack {
-    bus_aware_with_config(estimator, PolicyConfig::default())
+    bus_aware_with_quantum(estimator, PAPER_QUANTUM_US)
 }
 
-/// [`bus_aware`] with a custom configuration (quantum ablations).
+/// [`bus_aware`] with a custom quantum (the quantum ablation), still
+/// sampled twice per quantum.
 ///
 /// # Panics
-/// Panics if the quantum is zero or `samples_per_quantum` is zero.
-pub fn bus_aware_with_config(
+/// Panics if `quantum_us` is zero.
+pub fn bus_aware_with_quantum(
     estimator: Box<dyn BandwidthEstimator>,
-    cfg: PolicyConfig,
+    quantum_us: u64,
 ) -> PolicyStack {
     let name = estimator.label().to_string();
     PolicyStack::new(
         name,
-        cfg.quantum_us,
-        Box::new(ReconstructingEstimator::with_samples(
-            estimator,
-            cfg.samples_per_quantum,
-        )),
+        quantum_us,
+        Some(Meter::sampled(estimator)),
         Box::new(HeadOfList),
         Box::new(FitnessSelector),
         Box::new(PackedPlacer),
@@ -259,7 +236,7 @@ mod tests {
     fn preset_stack_reports_paper_defaults() {
         let s = latest();
         assert_eq!(s.name(), "Latest");
-        assert_eq!(s.quantum_us(), PolicyConfig::default().quantum_us);
+        assert_eq!(s.quantum_us(), PAPER_QUANTUM_US);
         assert_eq!(
             s.stage_labels(),
             ["Latest", "head", "fitness", "packed"],

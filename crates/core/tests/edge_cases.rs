@@ -2,7 +2,8 @@
 //! oversized gangs, and estimator plumbing end to end.
 
 use busbw_core::estimator::EwmaEstimator;
-use busbw_core::{bus_aware, latest_quantum, linux_like, quanta_window, PolicyConfig};
+use busbw_core::pipeline::{PAPER_QUANTUM_US, PAPER_SAMPLES_PER_QUANTUM};
+use busbw_core::{bus_aware, latest_quantum, linux_like, quanta_window};
 use busbw_sim::{
     AppDescriptor, AppId, ConstantDemand, Decision, Machine, MachineConfig, Scheduler,
     StopCondition, ThreadSpec, XEON_4WAY,
@@ -121,12 +122,14 @@ fn policies_survive_every_job_finishing() {
 
 #[test]
 fn sampling_contract_matches_paper_two_per_quantum() {
-    let cfg = PolicyConfig::default();
-    assert_eq!(cfg.quantum_us, 200_000);
-    assert_eq!(cfg.samples_per_quantum, 2);
-    assert_eq!(latest_quantum().quantum_us(), cfg.quantum_us);
+    assert_eq!(PAPER_QUANTUM_US, 200_000);
+    assert_eq!(PAPER_SAMPLES_PER_QUANTUM, 2);
+    assert_eq!(latest_quantum().quantum_us(), PAPER_QUANTUM_US);
     let mut m = Machine::new(XEON_4WAY);
     add(&mut m, "a", 2, 2.0, f64::INFINITY);
+    // Every decision asks the machine for a sample every 100 ms.
+    let d = latest_quantum().schedule(&m.view());
+    assert_eq!(d.sample_period_us, Some(100_000));
     let mut s = latest_quantum();
     let out = m.run(&mut s, StopCondition::At(2_000_000));
     // 2 samples per 200 ms over 2 s ≈ 20 (±boundary effects).

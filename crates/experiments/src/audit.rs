@@ -791,13 +791,13 @@ mod tests {
 
     #[test]
     fn double_booking_placer_fires_the_auditor_end_to_end() {
-        use busbw_core::pipeline::{FitnessSelector, HeadOfList, NullEstimator};
+        use busbw_core::pipeline::{FitnessSelector, HeadOfList};
         let mix = mix_from_names(&["CG", "LU CB"]).unwrap().scaled(0.05);
         let built = build_machine(&mix, XEON_4WAY, 1);
         let mut stack = PolicyStack::new(
             "double-book",
             PAPER_QUANTUM_US,
-            Box::new(NullEstimator),
+            None,
             Box::new(HeadOfList),
             Box::new(FitnessSelector),
             Box::new(DoubleBookPlacer),

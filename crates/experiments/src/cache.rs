@@ -48,7 +48,11 @@ use crate::runner::{PolicyKind, RunCompletion, RunResult, TraceMode, UnfinishedA
 /// v5: the offline-optimal oracle joined — `PolicyKind::OfflineOptimal`
 /// in the policy encoding and `RunShape::Oracle` in the key encoding
 /// (`experiments regret`).
-pub const RUN_SCHEMA_VERSION: u32 = 5;
+///
+/// v6: one bandwidth-measurement path — traced results of raw-meter and
+/// `ModelDriven` cells gain `Reconstruct` and stage events, and
+/// `ModelDriven` cells now report stage timings.
+pub const RUN_SCHEMA_VERSION: u32 = 6;
 
 /// Magic bytes prefixing every on-disk cache entry.
 const MAGIC: &[u8; 8] = b"BBWRUN\x00\x01";

@@ -15,8 +15,8 @@
 //! * the manager's modeled bookkeeping overhead, to compare with the
 //!   paper's measured ≈4.5 % bound.
 //!
-//! Three stacks are compared: the bandwidth-oblivious baseline
-//! ([`ZeroEstimator`], Linux-like rotation), the paper's Latest-Quantum
+//! Three stacks are compared: the bandwidth-oblivious baseline (a manager
+//! with no estimator, Linux-like rotation), the paper's Latest-Quantum
 //! policy, and its Quanta-Window policy. All stacks serve the **same**
 //! seeded arrival schedule, so tails are directly comparable.
 //!
@@ -25,7 +25,7 @@
 //! cached, and byte-identically replayable for any worker count.
 
 use busbw_core::estimator::{BandwidthEstimator, LatestQuantumEstimator, QuantaWindowEstimator};
-use busbw_managerd::{serve, ArrivalProcess, OpenConfig, ZeroEstimator};
+use busbw_managerd::{serve, ArrivalProcess, OpenConfig};
 use busbw_metrics::{ExperimentRow, FigureSummary, Histogram};
 use busbw_sim::TickDtHist;
 
@@ -57,12 +57,13 @@ impl OpenStack {
         }
     }
 
-    /// Build the estimator this stack schedules with.
-    pub fn build(&self) -> Box<dyn BandwidthEstimator> {
+    /// Build the estimator this stack schedules with (none for the
+    /// bandwidth-oblivious baseline).
+    pub fn build(&self) -> Option<Box<dyn BandwidthEstimator>> {
         match self {
-            OpenStack::Oblivious => Box::new(ZeroEstimator),
-            OpenStack::Latest => Box::new(LatestQuantumEstimator::new()),
-            OpenStack::Window => Box::new(QuantaWindowEstimator::new()),
+            OpenStack::Oblivious => None,
+            OpenStack::Latest => Some(Box::new(LatestQuantumEstimator::new())),
+            OpenStack::Window => Some(Box::new(QuantaWindowEstimator::new())),
         }
     }
 

@@ -16,11 +16,10 @@
 
 use busbw_core::estimator::{EwmaEstimator, LatestQuantumEstimator, QuantaWindowEstimator};
 use busbw_core::pipeline::{
-    Admission, Estimator, Fcfs, FitnessSelector, GreedySelector, HeadOfList, LookaheadSelector,
-    MigrateOnSaturationPlacer, NullEstimator, NullSelector, Open, PackLocalPlacer, PackedPlacer,
-    Placer, RandomSelector, RawRateEstimator, ReconstructingEstimator, ScatterPlacer, Selector,
-    SmtAwarePlacer, SpreadSocketsPlacer, StrictHead, WidestFirst, PAPER_QUANTUM_US,
-    PAPER_WINDOW_SAMPLES,
+    Admission, Fcfs, FitnessSelector, GreedySelector, HeadOfList, LookaheadSelector, Meter,
+    MigrateOnSaturationPlacer, NullSelector, Open, PackLocalPlacer, PackedPlacer, Placer,
+    RandomSelector, ScatterPlacer, Selector, SmtAwarePlacer, SpreadSocketsPlacer, StrictHead,
+    WidestFirst, PAPER_QUANTUM_US, PAPER_WINDOW_SAMPLES,
 };
 use busbw_core::PolicyStack;
 
@@ -33,9 +32,10 @@ pub enum EstimatorKind {
     Window(usize),
     /// EWMA matched to the given window length, reconstruction included.
     Ewma(usize),
-    /// Raw whole-quantum counter rates, no reconstruction (comparators).
+    /// The Latest rule over whole quanta with no mid-quantum samples
+    /// (the comparators' meter).
     Raw,
-    /// No estimation at all (bandwidth-oblivious stacks).
+    /// No meter at all (bandwidth-oblivious stacks).
     Null,
 }
 
@@ -219,21 +219,19 @@ impl StackSpec {
         s
     }
 
-    /// Build the stack. Bandwidth-aware estimators are wrapped in the
-    /// paper's demand-reconstruction path with two samples per quantum.
+    /// Build the stack. Latest, Window and EWMA rules get the paper's
+    /// meter with two samples per quantum.
     pub fn build(&self) -> PolicyStack {
-        let estimator: Box<dyn Estimator> = match self.estimator {
-            EstimatorKind::Latest => Box::new(ReconstructingEstimator::new(Box::new(
-                LatestQuantumEstimator::new(),
-            ))),
-            EstimatorKind::Window(n) => Box::new(ReconstructingEstimator::new(Box::new(
+        let meter = match self.estimator {
+            EstimatorKind::Latest => Some(Meter::sampled(Box::new(LatestQuantumEstimator::new()))),
+            EstimatorKind::Window(n) => Some(Meter::sampled(Box::new(
                 QuantaWindowEstimator::with_window(n),
             ))),
-            EstimatorKind::Ewma(n) => Box::new(ReconstructingEstimator::new(Box::new(
-                EwmaEstimator::matching_window(n),
-            ))),
-            EstimatorKind::Raw => Box::new(RawRateEstimator::new()),
-            EstimatorKind::Null => Box::new(NullEstimator),
+            EstimatorKind::Ewma(n) => {
+                Some(Meter::sampled(Box::new(EwmaEstimator::matching_window(n))))
+            }
+            EstimatorKind::Raw => Some(Meter::raw()),
+            EstimatorKind::Null => None,
         };
         let admission: Box<dyn Admission> = match self.admission {
             AdmissionKind::Head => Box::new(HeadOfList),
@@ -260,7 +258,7 @@ impl StackSpec {
         PolicyStack::new(
             self.label(),
             self.quantum_us,
-            estimator,
+            meter,
             admission,
             selector,
             placer,

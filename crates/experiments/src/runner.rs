@@ -7,10 +7,9 @@
 //! bit-identical to a serial sweep.
 
 use busbw_core::estimator::{LatestQuantumEstimator, QuantaWindowEstimator};
-use busbw_core::model::ModelDrivenScheduler;
 use busbw_core::{
-    bus_aware, bus_aware_with_config, greedy_pack, linux_like, linux_o1, random_gang,
-    round_robin_gang, PolicyConfig,
+    bus_aware, bus_aware_with_quantum, greedy_pack, linux_like, linux_o1, model_driven,
+    random_gang, round_robin_gang,
 };
 use busbw_sim::{
     ExecMode, MachineConfig, Scheduler, StageTimings, StopCondition, TickDtHist, XEON_4WAY,
@@ -75,7 +74,7 @@ impl PolicyKind {
     }
 
     /// Instantiate the scheduler (a [`busbw_core::PolicyStack`] preset for
-    /// every kind but the model-driven comparator).
+    /// every kind but the offline oracle).
     pub fn build(&self) -> Box<dyn Scheduler> {
         match *self {
             PolicyKind::Linux => Box::new(linux_like()),
@@ -84,18 +83,15 @@ impl PolicyKind {
             PolicyKind::WindowN(n) => {
                 Box::new(bus_aware(Box::new(QuantaWindowEstimator::with_window(n))))
             }
-            PolicyKind::LatestWithQuantum(q) => Box::new(bus_aware_with_config(
+            PolicyKind::LatestWithQuantum(q) => Box::new(bus_aware_with_quantum(
                 Box::new(LatestQuantumEstimator::new()),
-                PolicyConfig {
-                    quantum_us: q,
-                    ..PolicyConfig::default()
-                },
+                q,
             )),
             PolicyKind::RoundRobinGang => Box::new(round_robin_gang()),
             PolicyKind::RandomGang(seed) => Box::new(random_gang(seed)),
             PolicyKind::GreedyPack => Box::new(greedy_pack()),
             PolicyKind::LinuxO1 => Box::new(linux_o1()),
-            PolicyKind::ModelDriven => Box::new(ModelDrivenScheduler::new()),
+            PolicyKind::ModelDriven => Box::new(model_driven()),
             PolicyKind::Stack(spec) => Box::new(spec.build()),
             PolicyKind::OfflineOptimal => Box::new(busbw_core::FixedPlanScheduler::new(Vec::new())),
         }
@@ -735,10 +731,10 @@ mod tests {
         let t = r.stage_timings.expect("preset stacks expose timings");
         assert!(t.any_calls());
         assert!(t.stages.iter().all(|s| s.calls > 0), "{t:?}");
-        // The model-driven comparator is not a stack and reports none.
+        // The offline oracle's plan replayer is not a stack and reports none.
         let r = run_spec(
             &fig2_set_b(PaperApp::Volrend),
-            PolicyKind::ModelDriven,
+            PolicyKind::OfflineOptimal,
             &rc(),
         );
         assert!(r.stage_timings.is_none());

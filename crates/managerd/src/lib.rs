@@ -20,6 +20,11 @@
 //!   ([`busbw_core::manager::ThreadHandle::is_blocked`]), so the real
 //!   gate/signal/arena code paths are exercised without parking any OS
 //!   thread. A fixed seed therefore yields one byte-exact serve.
+//! * **One estimator path.** [`serve`] takes the manager's estimator
+//!   rule as `Option<Box<dyn BandwidthEstimator>>`, the same trait the
+//!   simulator's policy stacks use; `None` serves the bandwidth-oblivious
+//!   baseline, which measures nothing and reads every job as
+//!   bandwidth-free.
 //! * **Open arrivals.** [`ArrivalProcess`] draws seeded Poisson,
 //!   Pareto (heavy-tailed), or diurnal trace-driven inter-arrival gaps.
 //! * **Overload admission control.** At most
@@ -39,28 +44,7 @@ pub use arrivals::{ArrivalProcess, Rng64, DIURNAL_PROFILE, MIN_PARETO_ALPHA};
 
 use busbw_core::estimator::BandwidthEstimator;
 use busbw_core::manager::{AppRuntime, CpuManager, ManagerConfig, ThreadHandle};
-use busbw_sim::AppId;
 use busbw_trace::TraceEvent;
-
-/// A bandwidth-oblivious estimator: every job reads as bandwidth-free, so
-/// the manager's gang selection degenerates to plain width-first rotation
-/// — the "Linux-like" baseline stack of the open-system figures. Contrast
-/// with [`busbw_core::estimator::LatestQuantumEstimator`] and
-/// [`busbw_core::estimator::QuantaWindowEstimator`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ZeroEstimator;
-
-impl BandwidthEstimator for ZeroEstimator {
-    fn record_sample(&mut self, _app: AppId, _rate: f64) {}
-    fn record_quantum(&mut self, _app: AppId, _rate: f64) {}
-    fn estimate(&self, _app: AppId) -> f64 {
-        0.0
-    }
-    fn forget(&mut self, _app: AppId) {}
-    fn label(&self) -> &'static str {
-        "Oblivious"
-    }
-}
 
 /// Modeled virtual-µs costs of manager operations. The real daemon's
 /// overhead was measured at ≈4.5 % of machine time (paper §4); these
@@ -229,8 +213,11 @@ impl LiveClient {
 /// Serve one open arrival process to the horizon. Deterministic in
 /// `cfg.seed`: the loop is single-threaded and every source of
 /// variation (arrival gaps, client widths/service/rates) is drawn from
-/// the seeded generator.
-pub fn serve(cfg: &OpenConfig, estimator: Box<dyn BandwidthEstimator>) -> OpenOutcome {
+/// the seeded generator. `estimator = None` serves a bandwidth-oblivious
+/// manager: every job reads as bandwidth-free, so gang selection
+/// degenerates to plain width-first rotation (the "Linux-like" baseline
+/// of the open-system figures).
+pub fn serve(cfg: &OpenConfig, estimator: Option<Box<dyn BandwidthEstimator>>) -> OpenOutcome {
     assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
     assert!(
         cfg.service.min_service_us >= 1 && cfg.service.min_service_us <= cfg.service.max_service_us
@@ -446,8 +433,8 @@ mod tests {
     #[test]
     fn serve_is_byte_deterministic_for_a_fixed_seed() {
         let cfg = quick_cfg();
-        let a = serve(&cfg, Box::new(LatestQuantumEstimator::new()));
-        let b = serve(&cfg, Box::new(LatestQuantumEstimator::new()));
+        let a = serve(&cfg, Some(Box::new(LatestQuantumEstimator::new())));
+        let b = serve(&cfg, Some(Box::new(LatestQuantumEstimator::new())));
         assert!(a.arrived > 10, "expected a busy serve, got {}", a.arrived);
         assert_eq!(digest(&a), digest(&b));
         // A different seed produces a different serve.
@@ -456,7 +443,7 @@ mod tests {
                 seed: 43,
                 ..quick_cfg()
             },
-            Box::new(LatestQuantumEstimator::new()),
+            Some(Box::new(LatestQuantumEstimator::new())),
         );
         assert_ne!(digest(&a), digest(&c));
     }
@@ -469,7 +456,7 @@ mod tests {
                     seed,
                     ..quick_cfg()
                 },
-                Box::new(QuantaWindowEstimator::new()),
+                Some(Box::new(QuantaWindowEstimator::new())),
             );
             assert_eq!(
                 o.arrived,
@@ -497,7 +484,7 @@ mod tests {
                 queue_capacity: 4,
                 ..quick_cfg()
             },
-            Box::new(LatestQuantumEstimator::new()),
+            Some(Box::new(LatestQuantumEstimator::new())),
         );
         assert!(heavy.shed > 0, "400/s into capacity 4 must shed");
         assert!(heavy.shed_rate() > 0.3, "shed rate {}", heavy.shed_rate());
@@ -506,7 +493,7 @@ mod tests {
                 arrivals: ArrivalProcess::Poisson { rate_per_s: 2.0 },
                 ..quick_cfg()
             },
-            Box::new(LatestQuantumEstimator::new()),
+            Some(Box::new(LatestQuantumEstimator::new())),
         );
         assert_eq!(light.shed, 0, "2/s into capacity 6 must not shed");
         assert!(light.served > 0);
@@ -514,7 +501,7 @@ mod tests {
 
     #[test]
     fn modeled_overhead_stays_under_the_paper_bound() {
-        let o = serve(&quick_cfg(), Box::new(LatestQuantumEstimator::new()));
+        let o = serve(&quick_cfg(), Some(Box::new(LatestQuantumEstimator::new())));
         assert!(o.overhead_us > 0);
         assert!(
             o.overhead_pct() < 4.5,
@@ -525,7 +512,7 @@ mod tests {
 
     #[test]
     fn events_are_time_ordered_and_consistent_with_counters() {
-        let o = serve(&quick_cfg(), Box::new(LatestQuantumEstimator::new()));
+        let o = serve(&quick_cfg(), Some(Box::new(LatestQuantumEstimator::new())));
         let mut last = 0;
         let (mut arrived, mut shed, mut departed) = (0u64, 0u64, 0u64);
         for e in &o.events {
@@ -552,8 +539,8 @@ mod tests {
             },
             ..quick_cfg()
         };
-        let a = serve(&cfg, Box::new(QuantaWindowEstimator::new()));
-        let b = serve(&cfg, Box::new(QuantaWindowEstimator::new()));
+        let a = serve(&cfg, Some(Box::new(QuantaWindowEstimator::new())));
+        let b = serve(&cfg, Some(Box::new(QuantaWindowEstimator::new())));
         assert_eq!(digest(&a), digest(&b));
         assert!(a.arrived > 0);
     }

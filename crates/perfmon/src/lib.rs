@@ -15,10 +15,11 @@
 //!   per-thread *virtual counter* file).
 //! * [`Registry`] — all counter sets on the machine, keyed by an opaque
 //!   thread id. The simulator increments counters; schedulers sample them.
-//! * [`Sampler`] — periodic rate estimation: turns counter deltas into
-//!   transactions/µs rates, the quantity both paper policies consume. The
-//!   paper samples **twice per scheduling quantum**; the sampler is
-//!   parameterized accordingly.
+//!
+//! Turning counter deltas into the transactions/µs rates both paper
+//! policies consume (twice per scheduling quantum) is the scheduler's
+//! job: `busbw_core::pipeline::Meter` reads [`Registry::total`] at quantum
+//! boundaries and samples.
 //!
 //! Counts are kept in `f64` internally because the fluid simulator produces
 //! fractional transactions per tick; reads expose both the fractional total
@@ -29,11 +30,9 @@
 
 pub mod counter;
 pub mod registry;
-pub mod sampler;
 
 pub use counter::{Counter, CounterSet, EventKind};
 pub use registry::{Registry, ThreadKey};
-pub use sampler::{RateSample, Sampler, SamplerConfig};
 
 #[cfg(test)]
 mod tests {
@@ -44,13 +43,11 @@ mod tests {
         let mut reg = Registry::new();
         let t = ThreadKey(7);
         reg.register(t);
-        // Simulate 1000 µs of a thread issuing 5 tx/µs.
+        // Simulate 1000 µs of a thread issuing 5 tx/µs, read as a
+        // scheduler does: the counter delta over the interval.
+        let before = reg.total(t, EventKind::BusTransactions);
         reg.add(t, EventKind::BusTransactions, 5000.0);
-        let mut sampler = Sampler::new(SamplerConfig {
-            period_us: 1000,
-            window: 1,
-        });
-        let s = sampler.sample(&reg, t, 1000);
-        assert!((s.rate_tx_per_us - 5.0).abs() < 1e-9);
+        let rate = (reg.total(t, EventKind::BusTransactions) - before) / 1000.0;
+        assert!((rate - 5.0).abs() < 1e-9);
     }
 }

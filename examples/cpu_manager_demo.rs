@@ -34,7 +34,7 @@ fn main() {
         quantum_us: 200_000,
         samples_per_quantum: 2,
     };
-    let (manager, handle) = CpuManager::new(cfg, Box::new(QuantaWindowEstimator::new()));
+    let (manager, handle) = CpuManager::new(cfg, Some(Box::new(QuantaWindowEstimator::new())));
     let stop = Arc::new(AtomicBool::new(false));
     let mgr_thread = {
         let stop = stop.clone();

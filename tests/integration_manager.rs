@@ -14,7 +14,7 @@ fn manager(num_cpus: usize) -> (CpuManager, ManagerHandle) {
             num_cpus,
             ..ManagerConfig::default()
         },
-        Box::new(QuantaWindowEstimator::new()),
+        Some(Box::new(QuantaWindowEstimator::new())),
     )
 }
 
@@ -145,7 +145,7 @@ fn estimator_choice_is_pluggable_at_manager_level() {
             num_cpus: 2,
             ..ManagerConfig::default()
         },
-        Box::new(LatestQuantumEstimator::new()),
+        Some(Box::new(LatestQuantumEstimator::new())),
     );
     let mut a = connect(&mut m, &h, "a");
     a.register_thread().expect("manager alive");
