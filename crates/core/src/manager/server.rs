@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::estimator::BandwidthEstimator;
+use crate::pipeline::PAPER_SAMPLES_PER_QUANTUM;
 use crate::reconstruct::reconstruct;
 use crate::selection::{select_gangs, Candidate};
 
@@ -36,10 +37,9 @@ pub struct ManagerConfig {
     pub num_cpus: usize,
     /// Total bus bandwidth (tx/µs) used in `ABBW/proc`.
     pub bus_total_tx_per_us: f64,
-    /// Scheduling quantum, µs (paper: 200 ms).
+    /// Scheduling quantum, µs (paper: 200 ms). Arenas are sampled
+    /// [`PAPER_SAMPLES_PER_QUANTUM`] times per quantum.
     pub quantum_us: u64,
-    /// Arena samples per quantum (paper: 2).
-    pub samples_per_quantum: u32,
 }
 
 impl Default for ManagerConfig {
@@ -48,8 +48,15 @@ impl Default for ManagerConfig {
             num_cpus: 4,
             bus_total_tx_per_us: busbw_sim::PAPER_BUS_TX_PER_US,
             quantum_us: 200_000,
-            samples_per_quantum: 2,
         }
+    }
+}
+
+impl ManagerConfig {
+    /// Interval between arena samples, µs: the quantum split into
+    /// [`PAPER_SAMPLES_PER_QUANTUM`] periods.
+    pub fn sample_period_us(&self) -> u64 {
+        self.quantum_us / u64::from(PAPER_SAMPLES_PER_QUANTUM)
     }
 }
 
@@ -118,7 +125,7 @@ impl CpuManager {
         cfg: ManagerConfig,
         estimator: Option<Box<dyn BandwidthEstimator>>,
     ) -> (Self, ManagerHandle) {
-        assert!(cfg.num_cpus > 0 && cfg.quantum_us > 0 && cfg.samples_per_quantum > 0);
+        assert!(cfg.num_cpus > 0 && cfg.sample_period_us() > 0);
         let (tx, rx) = unbounded();
         (
             Self {
@@ -178,7 +185,7 @@ impl CpuManager {
                     let _ = reply.send(ConnectAck {
                         app: id,
                         arena,
-                        update_period_us: self.cfg.quantum_us / self.cfg.samples_per_quantum as u64,
+                        update_period_us: self.cfg.sample_period_us(),
                     });
                     if self.tracer.emits() {
                         self.tracer.emit(TraceEvent::MgrConnect {
@@ -367,17 +374,16 @@ impl CpuManager {
     }
 
     /// Drive the manager against the OS clock until `stop` is set.
-    /// Sampling happens `samples_per_quantum` times per quantum; the last
+    /// Sampling happens [`PAPER_SAMPLES_PER_QUANTUM`] times per quantum; the last
     /// sample coincides with the quantum boundary, as in the paper.
     pub fn run_realtime(mut self, stop: Arc<AtomicBool>) {
-        let sample_period =
-            Duration::from_micros(self.cfg.quantum_us / self.cfg.samples_per_quantum as u64);
+        let sample_period = Duration::from_micros(self.cfg.sample_period_us());
         let mut next_quantum = Instant::now();
         while !stop.load(Ordering::SeqCst) {
             self.pump();
             self.quantum();
             next_quantum += Duration::from_micros(self.cfg.quantum_us);
-            for _ in 0..self.cfg.samples_per_quantum {
+            for _ in 0..PAPER_SAMPLES_PER_QUANTUM {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }

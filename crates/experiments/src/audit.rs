@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use busbw_audit::{Auditor, Violation};
+use busbw_trace::json::quote;
 use busbw_workloads::{
     mix::{fig2_set_a, fig2_set_b, fig2_set_c},
     paper::{paper_app, PaperApp},
@@ -383,22 +384,6 @@ pub fn shrink(
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The ready-to-paste regression test for a shrunk failing cell.
 pub fn repro_test_snippet(cell: &FuzzCell) -> String {
     format!(
@@ -433,17 +418,13 @@ fn audit_repro() {{
 /// Serialize a shrunk failing cell and its violations as `repro.json`.
 pub fn repro_json(cell: &FuzzCell, violations: &[Violation]) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"policy\": \"{}\",",
-        json_escape(&spec_string(&cell.stack))
-    );
+    let _ = writeln!(out, "  \"policy\": {},", quote(&spec_string(&cell.stack)));
     let _ = writeln!(
         out,
         "  \"mix\": [{}],",
         cell.mix
             .iter()
-            .map(|m| format!("\"{}\"", json_escape(m)))
+            .map(|m| quote(m))
             .collect::<Vec<_>>()
             .join(", ")
     );
@@ -455,18 +436,14 @@ pub fn repro_json(cell: &FuzzCell, violations: &[Violation]) -> String {
         let comma = if i + 1 < violations.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"invariant\": \"{}\", \"at_us\": {}, \"detail\": \"{}\"}}{comma}",
-            json_escape(v.invariant),
+            "    {{\"invariant\": {}, \"at_us\": {}, \"detail\": {}}}{comma}",
+            quote(v.invariant),
             v.at_us,
-            json_escape(&v.detail)
+            quote(&v.detail)
         );
     }
     let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"test\": \"{}\"",
-        json_escape(&repro_test_snippet(cell))
-    );
+    let _ = writeln!(out, "  \"test\": {}", quote(&repro_test_snippet(cell)));
     out.push_str("}\n");
     out
 }

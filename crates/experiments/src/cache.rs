@@ -52,7 +52,11 @@ use crate::runner::{PolicyKind, RunCompletion, RunResult, TraceMode, UnfinishedA
 /// v6: one bandwidth-measurement path — traced results of raw-meter and
 /// `ModelDriven` cells gain `Reconstruct` and stage events, and
 /// `ModelDriven` cells now report stage timings.
-pub const RUN_SCHEMA_VERSION: u32 = 6;
+///
+/// v7: open-system results (`OpenStats`) drop managerd's modeled
+/// manager overhead and the serve duration it was divided by (the
+/// duration stays in `sim_elapsed_us`).
+pub const RUN_SCHEMA_VERSION: u32 = 7;
 
 /// Magic bytes prefixing every on-disk cache entry.
 const MAGIC: &[u8; 8] = b"BBWRUN\x00\x01";
@@ -763,8 +767,6 @@ pub fn encode_result(r: &RunResult) -> Vec<u8> {
             e.u64(o.arrived);
             e.u64(o.shed);
             e.u64(o.served);
-            e.u64(o.duration_us);
-            e.u64(o.overhead_us);
             e.f64(o.mean_slowdown);
         }
     }
@@ -841,8 +843,6 @@ pub fn decode_result(bytes: &[u8]) -> Result<RunResult, String> {
             arrived: d.u64()?,
             shed: d.u64()?,
             served: d.u64()?,
-            duration_us: d.u64()?,
-            overhead_us: d.u64()?,
             mean_slowdown: d.f64()?,
         }),
         t => return Err(format!("unknown open-stats tag {t}")),
@@ -1103,8 +1103,6 @@ mod tests {
                 arrived: 120,
                 shed: 7,
                 served: 110,
-                duration_us: 5_000_000,
-                overhead_us: 31_415,
                 mean_slowdown: f64::consts_hack(),
             }),
             n_levels: 3,

@@ -11,9 +11,11 @@
 //!   [`busbw_metrics::Histogram::quantile`];
 //! * the shed rate of the bounded accept queue (overload admission
 //!   control);
-//! * mean slowdown (turnaround ÷ solo service time);
-//! * the manager's modeled bookkeeping overhead, to compare with the
-//!   paper's measured ≈4.5 % bound.
+//! * mean slowdown (turnaround ÷ solo service time).
+//!
+//! The paper's ≈4.5 % manager overhead (§4) was measured on real
+//! hardware and is not modeled here; the host cost of these serves is
+//! measured by the repository benchmark (`perfbench`, workload `open`).
 //!
 //! Three stacks are compared: the bandwidth-oblivious baseline (a manager
 //! with no estimator, Linux-like rotation), the paper's Latest-Quantum
@@ -160,8 +162,6 @@ pub fn open_run(spec: &OpenSpec, rc: &RunnerConfig) -> RunResult {
             arrived: out.arrived,
             shed: out.shed,
             served: out.served,
-            duration_us: out.duration_us,
-            overhead_us: out.overhead_us,
             mean_slowdown: out.mean_slowdown(),
         }),
         n_levels: 0,
@@ -218,7 +218,7 @@ pub fn plan_open(
 }
 
 /// Fold the open figure: one row per (stack × offered load) with tail
-/// quantiles, shed rate, mean slowdown, and manager overhead.
+/// quantiles, shed rate and mean slowdown.
 pub fn fold_open(cells: &OpenCells, executed: &Executed) -> FigureSummary {
     let rows = cells
         .cells
@@ -239,14 +239,13 @@ pub fn fold_open(cells: &OpenCells, executed: &Executed) -> FigureSummary {
                     ("p999_ms".into(), q_ms(0.999)),
                     ("shed_%".into(), 100.0 * open.shed_rate()),
                     ("slowdown".into(), open.mean_slowdown),
-                    ("mgr_ovh_%".into(), open.overhead_pct()),
                 ],
             }
         })
         .collect();
     FigureSummary {
         id: "open".into(),
-        title: "Open-system manager serve — turnaround tails, shed rate, overhead vs offered load"
+        title: "Open-system manager serve — turnaround tails, shed rate, slowdown vs offered load"
             .into(),
         rows,
     }
@@ -386,11 +385,6 @@ mod tests {
         assert!(open.arrived > 0);
         assert_eq!(open.served as usize, r.turnarounds_us.len());
         assert!(open.served + open.shed <= open.arrived);
-        assert!(
-            open.overhead_pct() < 4.5,
-            "overhead {}",
-            open.overhead_pct()
-        );
         assert!(r.completion.is_finished());
         // Scale entered the horizon: 20 s × 0.1 = 2 s.
         assert_eq!(r.sim_elapsed_us, 2_000_000);
@@ -518,14 +512,19 @@ mod tests {
             OpenStack::ALL.len() * LOAD_MULTIPLIERS.len()
         );
         for row in &fig.rows {
+            let columns: Vec<&str> = row.values.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                columns,
+                ["p50_ms", "p99_ms", "p999_ms", "shed_%", "slowdown"],
+                "{}",
+                row.app
+            );
             let p50 = row.get("p50_ms").unwrap();
             let p99 = row.get("p99_ms").unwrap();
             let p999 = row.get("p999_ms").unwrap();
             assert!(p50 <= p99 && p99 <= p999, "{}: tails not monotone", row.app);
             let shed = row.get("shed_%").unwrap();
             assert!((0.0..=100.0).contains(&shed));
-            let ovh = row.get("mgr_ovh_%").unwrap();
-            assert!((0.0..4.5).contains(&ovh), "{}: overhead {ovh}", row.app);
         }
         // Overload must shed somewhere at 4× offered load.
         let worst = fig

@@ -258,9 +258,8 @@ pub struct RunResult {
 
 /// Accounting of one open-system managerd run (see `busbw_managerd`):
 /// how many clients arrived, were shed by overload admission control, or
-/// were served to completion, plus the manager's modeled overhead — the
-/// numbers behind the shed-rate and 4.5 %-bound columns of
-/// `experiments open`.
+/// were served to completion — the numbers behind the shed-rate and
+/// slowdown columns of `experiments open`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenStats {
     /// Clients the arrival process offered.
@@ -269,26 +268,12 @@ pub struct OpenStats {
     pub shed: u64,
     /// Clients served to completion (departed before the horizon).
     pub served: u64,
-    /// Virtual duration of the serve, µs.
-    pub duration_us: u64,
-    /// Modeled manager work (pump/sample/quantum bookkeeping), virtual µs.
-    pub overhead_us: u64,
     /// Mean slowdown (turnaround ÷ solo service time) over served clients
     /// (0 when none were served).
     pub mean_slowdown: f64,
 }
 
 impl OpenStats {
-    /// Manager overhead as a percentage of the serve duration — the
-    /// number the paper bounds at ≈4.5 % (§4).
-    pub fn overhead_pct(&self) -> f64 {
-        if self.duration_us == 0 {
-            0.0
-        } else {
-            100.0 * self.overhead_us as f64 / self.duration_us as f64
-        }
-    }
-
     /// Fraction of arrivals shed, ∈ [0, 1].
     pub fn shed_rate(&self) -> f64 {
         if self.arrived == 0 {

@@ -28,7 +28,6 @@ pub mod mix;
 pub mod paper;
 pub mod phases;
 pub mod synth;
-pub mod tracefile;
 
 pub use app::{AppSpec, Behavior};
 pub use burst::TwoStateBurst;
@@ -40,4 +39,3 @@ pub use mix::{
 pub use paper::{paper_app, paper_apps, PaperApp, DEFAULT_SOLO_WORK_US};
 pub use phases::{CyclicPhases, Phase};
 pub use synth::{generate as generate_synth, SynthConfig};
-pub use tracefile::{TraceDemand, TraceSegment};

@@ -32,7 +32,6 @@ fn main() {
         num_cpus: 2,
         bus_total_tx_per_us: busbw::sim::PAPER_BUS_TX_PER_US,
         quantum_us: 200_000,
-        samples_per_quantum: 2,
     };
     let (manager, handle) = CpuManager::new(cfg, Some(Box::new(QuantaWindowEstimator::new())));
     let stop = Arc::new(AtomicBool::new(false));
