@@ -480,9 +480,10 @@ pub fn check_arena_coherence(reads: &[ArenaSnapshot]) -> Vec<Violation> {
 /// Shared-arena coherence of the CPU manager's publish path (the daemon
 /// side the simulator-facing invariants never touch). The self-check
 /// drives the *real* `core::manager` stack — `AppRuntime::publish_sample`
-/// through a live [`CpuManager`] — plus a raw seqlock publish/read
-/// interleave, and runs [`check_arena_coherence`] over every snapshot
-/// observed.
+/// through a live [`CpuManager`], read back through the arena the manager
+/// handed out in its `ConnectAck` (the one it polls) — plus a raw seqlock
+/// publish/read interleave, and runs [`check_arena_coherence`] over every
+/// snapshot observed.
 pub struct ManagerArenaCoherence;
 
 impl Invariant for ManagerArenaCoherence {
@@ -523,11 +524,17 @@ impl Invariant for ManagerArenaCoherence {
         let mut rt = pending.complete().expect("manager acked connect");
         let t = rt.register_thread().expect("manager alive");
         mgr.pump();
-        let mut reads = Vec::new();
+        let arena = rt.arena().clone();
+        let mut reads = vec![arena.read()];
         for k in 1..=10u64 {
             t.count_transactions(1_000 * (seed % 5 + 1) * k);
-            reads.push(rt.publish_sample(k * 100_000));
-            reads.push(rt.publish_sample(k * 100_000)); // zero-dt republish
+            for _ in 0..2 {
+                // The second publish is a zero-dt republish. Each sample
+                // is followed by its read-back, so a sample the arena does
+                // not show reads as fields changed under one publish seq.
+                reads.push(rt.publish_sample(k * 100_000));
+                reads.push(arena.read());
+            }
         }
         mgr.sample();
         mgr.quantum();
@@ -1121,6 +1128,30 @@ mod tests {
         });
         let b = clean_arena.read();
         assert!(check_arena_coherence(&[a, b]).is_empty());
+    }
+
+    #[test]
+    fn torn_rate_on_a_connected_clients_arena_fires_manager_arena_coherence() {
+        // The same fault, aimed at the production path: the arena a live
+        // manager handed a connected client in its `ConnectAck`.
+        let (mut mgr, handle) = CpuManager::new(ManagerConfig::default(), None);
+        let pending = AppRuntime::request_connect(&handle, "torn").expect("manager alive");
+        mgr.pump();
+        let mut rt = pending.complete().expect("manager acked connect");
+        let t = rt.register_thread().expect("manager alive");
+        mgr.pump();
+        t.count_transactions(400_000);
+        let published = rt.publish_sample(100_000);
+        let before = rt.arena().read();
+        assert_eq!(before, published);
+        rt.arena().publish_torn_rate(99.0);
+        let after = rt.arena().read();
+        let violations = check_arena_coherence(&[before, after]);
+        assert_eq!(
+            count_by_invariant(&violations).get("manager-arena-coherence"),
+            Some(&1)
+        );
+        assert!(violations[0].detail.contains("torn write"));
     }
 
     #[test]

@@ -1,35 +1,30 @@
 //! The shared arena: the manager's primary communication medium with each
 //! application (§4).
 //!
-//! On the paper's system this is a shared memory page. Here it is a
-//! fixed-layout 4 KiB buffer (`bytes`) behind a `parking_lot` lock, shared
-//! by `Arc` — same information flow, same page discipline (a writer can
-//! only publish what fits the layout), safely usable from real threads.
+//! The paper's shared arena is a raw memory page written by the
+//! application and read by the manager with no lock at all — on a real
+//! system a mutex in that page would let a blocked application thread
+//! wedge the manager. [`SeqlockArena`] reproduces that property safely
+//! with a seqlock:
 //!
-//! Layout (little endian):
+//! * the **writer** (one application-side publisher) increments a
+//!   sequence counter to an odd value, stores the fields, then increments
+//!   it again to even — all with `Release` stores;
+//! * **readers** (the manager, any diagnostics) read the sequence with
+//!   `Acquire`, copy the fields, re-read the sequence, and retry if it
+//!   changed or was odd mid-copy.
 //!
-//! | offset | field                 | type |
-//! |-------:|-----------------------|------|
-//! | 0      | magic `0xB05A_RE4A`-ish | u32 |
-//! | 4      | layout version        | u32  |
-//! | 8      | sequence number       | u64  |
-//! | 16     | thread count          | u32  |
-//! | 20     | (pad)                 | u32  |
-//! | 24     | cumulative bus transactions | f64 |
-//! | 32     | rate over last update interval (tx/µs, whole app) | f64 |
-//! | 40     | timestamp of last update (µs)  | u64 |
+//! Readers never block the writer and vice versa; a torn snapshot is
+//! impossible because the sequence check brackets the field reads. The
+//! implementation is `forbid(unsafe_code)`-clean: fields live in
+//! `AtomicU64`s (f64s as bit patterns), so even the racing accesses are
+//! data-race-free by construction — the seqlock protocol provides
+//! *consistency* across fields on top of per-field atomicity.
 
-use bytes::{Buf, BufMut};
-use parking_lot::Mutex;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Size of the arena page in bytes (one page, as in the paper).
-pub const ARENA_PAGE_SIZE: usize = 4096;
-
-const MAGIC: u32 = 0xB05A_0A4E;
-const VERSION: u32 = 1;
-
-/// A decoded view of the arena contents.
+/// A consistent view of the arena contents.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArenaSnapshot {
     /// Publication sequence number (increments per update).
@@ -57,77 +52,90 @@ impl ArenaSnapshot {
     }
 }
 
-/// The shared arena page.
-#[derive(Debug, Clone)]
-pub struct SharedArena {
-    page: Arc<Mutex<[u8; ARENA_PAGE_SIZE]>>,
+#[derive(Debug, Default)]
+struct Fields {
+    seq: AtomicU64,
+    snap_seq: AtomicU64,
+    threads: AtomicU64,
+    total_tx_bits: AtomicU64,
+    rate_bits: AtomicU64,
+    updated_at: AtomicU64,
 }
 
-impl SharedArena {
-    /// A freshly mapped (zeroed, then initialized) arena.
+/// The shared arena page. Cloning shares the underlying page.
+#[derive(Debug, Clone, Default)]
+pub struct SeqlockArena {
+    f: Arc<Fields>,
+}
+
+impl SeqlockArena {
+    /// A fresh arena: reads as the all-zero snapshot.
     pub fn new() -> Self {
-        let arena = Self {
-            page: Arc::new(Mutex::new([0u8; ARENA_PAGE_SIZE])),
-        };
-        arena.publish(ArenaSnapshot {
-            seq: 0,
-            threads: 0,
-            total_transactions: 0.0,
-            rate_tx_per_us: 0.0,
-            updated_at_us: 0,
-        });
-        arena
+        Self::default()
     }
 
-    /// Write a snapshot into the page (application side).
+    /// Publish a snapshot (single-writer: the application's sampler).
     pub fn publish(&self, s: ArenaSnapshot) {
-        let mut page = self.page.lock();
-        let mut buf = &mut page[..];
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u64_le(s.seq);
-        buf.put_u32_le(s.threads);
-        buf.put_u32_le(0); // pad
-        buf.put_f64_le(s.total_transactions);
-        buf.put_f64_le(s.rate_tx_per_us);
-        buf.put_u64_le(s.updated_at_us);
+        let f = &self.f;
+        // Enter the write-side critical section: odd sequence. The
+        // release fence keeps the odd marker ordered *before* the field
+        // stores (a plain Release store would only order what precedes
+        // it — the field stores could be hoisted above the marker).
+        let seq = f.seq.load(Ordering::Relaxed);
+        f.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
+        fence(Ordering::Release);
+        // Field stores may be reordered among themselves — each is atomic,
+        // and readers discard anything observed under an odd/changed seq.
+        f.snap_seq.store(s.seq, Ordering::Relaxed);
+        f.threads.store(s.threads as u64, Ordering::Relaxed);
+        f.total_tx_bits
+            .store(s.total_transactions.to_bits(), Ordering::Relaxed);
+        f.rate_bits
+            .store(s.rate_tx_per_us.to_bits(), Ordering::Relaxed);
+        f.updated_at.store(s.updated_at_us, Ordering::Relaxed);
+        // Leave: even sequence; Release publishes all field stores.
+        f.seq.store(seq.wrapping_add(2), Ordering::Release);
     }
 
-    /// Read the page (manager side).
-    ///
-    /// Returns `None` if the page does not carry a valid arena layout —
-    /// the manager treats a corrupt page as "no data" rather than
-    /// crashing on a misbehaving client.
-    pub fn read(&self) -> Option<ArenaSnapshot> {
-        let page = self.page.lock();
-        let mut buf = &page[..];
-        if buf.get_u32_le() != MAGIC || buf.get_u32_le() != VERSION {
-            return None;
+    /// Fault injection for the runtime auditor (`busbw-audit`): store a
+    /// new rate **without** the odd/even sequence bracket — the torn
+    /// write the seqlock protocol exists to prevent. Readers observe the
+    /// mutated field under an unchanged even sequence, which the audit
+    /// arena-coherence check flags. Never call this outside seeded-fault
+    /// tests.
+    #[doc(hidden)]
+    pub fn publish_torn_rate(&self, rate_tx_per_us: f64) {
+        self.f
+            .rate_bits
+            .store(rate_tx_per_us.to_bits(), Ordering::Release);
+    }
+
+    /// Read a consistent snapshot (any number of concurrent readers).
+    /// Lock-free: retries while a write is in flight.
+    pub fn read(&self) -> ArenaSnapshot {
+        let f = &self.f;
+        loop {
+            let s1 = f.seq.load(Ordering::Acquire);
+            if s1 % 2 == 1 {
+                std::hint::spin_loop();
+                continue;
+            }
+            let snap = ArenaSnapshot {
+                seq: f.snap_seq.load(Ordering::Relaxed),
+                threads: f.threads.load(Ordering::Relaxed) as u32,
+                total_transactions: f64::from_bits(f.total_tx_bits.load(Ordering::Relaxed)),
+                rate_tx_per_us: f64::from_bits(f.rate_bits.load(Ordering::Relaxed)),
+                updated_at_us: f.updated_at.load(Ordering::Relaxed),
+            };
+            // The acquire fence keeps the field loads ordered *before*
+            // the validating re-read of the sequence.
+            fence(Ordering::Acquire);
+            let s2 = f.seq.load(Ordering::Relaxed);
+            if s1 == s2 {
+                return snap;
+            }
+            std::hint::spin_loop();
         }
-        let seq = buf.get_u64_le();
-        let threads = buf.get_u32_le();
-        let _pad = buf.get_u32_le();
-        let total_transactions = buf.get_f64_le();
-        let rate_tx_per_us = buf.get_f64_le();
-        let updated_at_us = buf.get_u64_le();
-        Some(ArenaSnapshot {
-            seq,
-            threads,
-            total_transactions,
-            rate_tx_per_us,
-            updated_at_us,
-        })
-    }
-
-    /// Number of `SharedArena` handles alive (diagnostics).
-    pub fn handles(&self) -> usize {
-        Arc::strong_count(&self.page)
-    }
-}
-
-impl Default for SharedArena {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -135,37 +143,37 @@ impl Default for SharedArena {
 mod tests {
     use super::*;
 
+    fn snap(i: u64) -> ArenaSnapshot {
+        ArenaSnapshot {
+            seq: i,
+            threads: 2,
+            total_transactions: i as f64 * 10.0,
+            rate_tx_per_us: i as f64,
+            updated_at_us: i * 100,
+        }
+    }
+
     #[test]
     fn roundtrip_preserves_every_field() {
-        let a = SharedArena::new();
-        let snap = ArenaSnapshot {
+        let a = SeqlockArena::new();
+        let s = ArenaSnapshot {
             seq: 42,
             threads: 3,
             total_transactions: 123456.75,
             rate_tx_per_us: 11.65,
             updated_at_us: 999_999,
         };
-        a.publish(snap);
-        assert_eq!(a.read().unwrap(), snap);
+        a.publish(s);
+        assert_eq!(a.read(), s);
     }
 
     #[test]
     fn fresh_arena_reads_as_zeroed_snapshot() {
-        let a = SharedArena::new();
-        let s = a.read().unwrap();
+        let s = SeqlockArena::new().read();
         assert_eq!(s.seq, 0);
         assert_eq!(s.threads, 0);
+        assert_eq!(s.rate_tx_per_us, 0.0);
         assert_eq!(s.rate_per_thread(), 0.0);
-    }
-
-    #[test]
-    fn corrupt_page_reads_none() {
-        let a = SharedArena::new();
-        {
-            let mut page = a.page.lock();
-            page[0] = 0xFF; // clobber magic
-        }
-        assert!(a.read().is_none());
     }
 
     #[test]
@@ -184,43 +192,50 @@ mod tests {
 
     #[test]
     fn clones_share_the_same_page() {
-        let a = SharedArena::new();
+        let a = SeqlockArena::new();
         let b = a.clone();
-        a.publish(ArenaSnapshot {
-            seq: 7,
-            threads: 1,
-            total_transactions: 1.0,
-            rate_tx_per_us: 2.0,
-            updated_at_us: 3,
-        });
-        assert_eq!(b.read().unwrap().seq, 7);
-        assert!(a.handles() >= 2);
+        a.publish(snap(3));
+        assert_eq!(b.read(), snap(3));
     }
 
     #[test]
     fn concurrent_writers_and_readers_do_not_tear() {
-        // Writers always publish self-consistent snapshots where
-        // rate == seq as f64; a torn read would break that equality.
-        let a = SharedArena::new();
-        let w = a.clone();
-        let writer = std::thread::spawn(move || {
-            for i in 1..=2000u64 {
-                w.publish(ArenaSnapshot {
-                    seq: i,
-                    threads: 2,
-                    total_transactions: i as f64,
-                    rate_tx_per_us: i as f64,
-                    updated_at_us: i,
-                });
-            }
-        });
-        let mut last_seq = 0;
-        for _ in 0..2000 {
-            let s = a.read().unwrap();
-            assert_eq!(s.rate_tx_per_us, s.seq as f64, "torn read");
-            assert!(s.seq >= last_seq, "sequence went backwards");
-            last_seq = s.seq;
+        // The writer publishes internally-consistent snapshots where
+        // every field is derived from `seq`; any torn read breaks the
+        // relation. Hammer it from several reader threads.
+        let a = SeqlockArena::new();
+        a.publish(snap(1));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let total_reads = Arc::new(AtomicU64::new(0));
+        let mut readers = Vec::new();
+        for _ in 0..3 {
+            let a = a.clone();
+            let stop = stop.clone();
+            let total_reads = total_reads.clone();
+            readers.push(std::thread::spawn(move || {
+                let mut last = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    let s = a.read();
+                    assert_eq!(s.total_transactions, s.seq as f64 * 10.0, "torn");
+                    assert_eq!(s.rate_tx_per_us, s.seq as f64, "torn");
+                    assert_eq!(s.updated_at_us, s.seq * 100, "torn");
+                    assert!(s.seq >= last, "went backwards");
+                    last = s.seq;
+                    total_reads.fetch_add(1, Ordering::Relaxed);
+                }
+            }));
         }
-        writer.join().unwrap();
+        // Keep publishing until the readers collectively performed a
+        // healthy number of concurrent reads (bounded backstop).
+        let mut i = 2u64;
+        while total_reads.load(Ordering::Relaxed) < 30_000 && i < 50_000_000 {
+            a.publish(snap(i));
+            i += 1;
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            r.join().expect("reader");
+        }
+        assert!(total_reads.load(Ordering::Relaxed) >= 30_000);
     }
 }

@@ -22,12 +22,11 @@
 //! paper does this twice per scheduling quantum.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::unbounded;
-
-use super::arena::{ArenaSnapshot, SharedArena};
-use super::protocol::{ClientId, ToManager};
+use super::arena::{ArenaSnapshot, SeqlockArena};
+use super::protocol::{ClientId, ConnectAck, ToManager};
 use super::server::ManagerHandle;
 use super::signals::{Signal, SignalGate};
 
@@ -92,8 +91,8 @@ impl ThreadHandle {
 
 /// A connection awaiting the manager's acknowledgement.
 pub struct PendingConnect {
-    rx: crossbeam::channel::Receiver<super::protocol::ConnectAck>,
-    to_manager: crossbeam::channel::Sender<ToManager>,
+    rx: Receiver<ConnectAck>,
+    to_manager: Sender<ToManager>,
 }
 
 impl PendingConnect {
@@ -121,8 +120,8 @@ impl PendingConnect {
 /// The per-application runtime.
 pub struct AppRuntime {
     id: ClientId,
-    arena: SharedArena,
-    to_manager: crossbeam::channel::Sender<ToManager>,
+    arena: SeqlockArena,
+    to_manager: Sender<ToManager>,
     threads: Vec<ThreadHandle>,
     update_period_us: u64,
     seq: u64,
@@ -150,7 +149,7 @@ impl AppRuntime {
         handle: &ManagerHandle,
         name: impl Into<String>,
     ) -> Result<PendingConnect, ManagerError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         handle
             .sender()
             .send(ToManager::Connect {
@@ -167,6 +166,12 @@ impl AppRuntime {
     /// This application's id.
     pub fn id(&self) -> ClientId {
         self.id
+    }
+
+    /// The shared arena this application publishes to: the handle the
+    /// manager sent in its [`ConnectAck`], sharing the page it polls.
+    pub fn arena(&self) -> &SeqlockArena {
+        &self.arena
     }
 
     /// How often (µs) the manager expects arena updates.

@@ -1,14 +1,14 @@
 //! The connection protocol between applications and the CPU manager.
 //!
 //! The paper uses a UNIX socket for the initial handshake; here the
-//! transport is a `crossbeam` channel. The message set mirrors the
+//! transport is a `std::sync::mpsc` channel. The message set mirrors the
 //! paper's run-time library: connect/disconnect plus thread creation and
 //! destruction interception.
 
-use crossbeam::channel::Sender;
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use super::arena::SharedArena;
+use super::arena::SeqlockArena;
 use super::signals::SignalGate;
 
 /// Identifies a connected application.
@@ -55,7 +55,7 @@ pub struct ConnectAck {
     /// The id assigned to this application.
     pub app: ClientId,
     /// The shared arena for publishing transaction-rate samples.
-    pub arena: SharedArena,
+    pub arena: SeqlockArena,
     /// How often (µs) the manager expects the arena to be refreshed —
     /// the paper: twice per scheduling quantum.
     pub update_period_us: u64,
@@ -64,25 +64,25 @@ pub struct ConnectAck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     #[test]
     fn handshake_shapes_compose() {
         // A miniature manager loop answering one Connect.
-        let (tx, rx) = unbounded::<ToManager>();
+        let (tx, rx) = channel::<ToManager>();
         let server = std::thread::spawn(move || {
             if let Ok(ToManager::Connect { name, reply }) = rx.recv() {
                 assert_eq!(name, "CG");
                 reply
                     .send(ConnectAck {
                         app: ClientId(1),
-                        arena: SharedArena::new(),
+                        arena: SeqlockArena::new(),
                         update_period_us: 100_000,
                     })
                     .unwrap();
             }
         });
-        let (rtx, rrx) = unbounded();
+        let (rtx, rrx) = channel();
         tx.send(ToManager::Connect {
             name: "CG".into(),
             reply: rtx,
@@ -91,7 +91,7 @@ mod tests {
         let ack = rrx.recv().unwrap();
         assert_eq!(ack.app, ClientId(1));
         assert_eq!(ack.update_period_us, 100_000);
-        assert!(ack.arena.read().is_some());
+        assert_eq!(ack.arena.read().seq, 0);
         server.join().unwrap();
     }
 }

@@ -15,9 +15,9 @@
 //!   `examples/cpu_manager_demo.rs`).
 
 use busbw_trace::{EventBus, TraceEvent};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,7 +26,7 @@ use crate::pipeline::PAPER_SAMPLES_PER_QUANTUM;
 use crate::reconstruct::reconstruct;
 use crate::selection::{select_gangs, Candidate};
 
-use super::arena::SharedArena;
+use super::arena::SeqlockArena;
 use super::protocol::{ClientId, ConnectAck, ToManager};
 use super::signals::{Signal, SignalGate};
 
@@ -76,13 +76,13 @@ impl ManagerHandle {
 struct Job {
     id: ClientId,
     name: String,
-    arena: SharedArena,
+    arena: SeqlockArena,
     gates: Vec<Arc<SignalGate>>,
     blocked: bool,
 }
 
-/// The reconstructed requirement per thread of every running job whose
-/// arena has a published sample, in list order.
+/// The reconstructed requirement per thread of every running job, in list
+/// order (a job that has not published yet reads as a zero rate).
 fn running_demands<'a>(
     jobs: &'a [Job],
     running: &'a [ClientId],
@@ -90,10 +90,10 @@ fn running_demands<'a>(
 ) -> impl Iterator<Item = (busbw_sim::AppId, f64)> + 'a {
     jobs.iter()
         .filter(|j| running.contains(&j.id))
-        .filter_map(move |j| {
-            let snap = j.arena.read()?;
-            let demand = reconstruct(snap.rate_per_thread(), dilation).demand_per_thread;
-            Some((busbw_sim::AppId(j.id.0), demand))
+        .map(move |j| {
+            let rate = j.arena.read().rate_per_thread();
+            let demand = reconstruct(rate, dilation).demand_per_thread;
+            (busbw_sim::AppId(j.id.0), demand)
         })
 }
 
@@ -126,7 +126,7 @@ impl CpuManager {
         estimator: Option<Box<dyn BandwidthEstimator>>,
     ) -> (Self, ManagerHandle) {
         assert!(cfg.num_cpus > 0 && cfg.sample_period_us() > 0);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         (
             Self {
                 cfg,
@@ -171,7 +171,7 @@ impl CpuManager {
                 ToManager::Connect { name, reply } => {
                     let id = ClientId(self.next_id);
                     self.next_id += 1;
-                    let arena = SharedArena::new();
+                    let arena = SeqlockArena::new();
                     // New jobs join the end of the circular list, blocked
                     // until the next quantum admits them: the manager owns
                     // all scheduling from the moment of connection.
@@ -411,10 +411,9 @@ mod tests {
     use super::*;
     use crate::estimator::LatestQuantumEstimator;
     use crate::manager::arena::ArenaSnapshot;
-    use crossbeam::channel::unbounded as chan;
 
     fn connect(m: &mut CpuManager, h: &ManagerHandle, name: &str) -> ConnectAck {
-        let (tx, rx) = chan();
+        let (tx, rx) = channel();
         h.sender()
             .send(ToManager::Connect {
                 name: name.into(),
@@ -448,7 +447,7 @@ mod tests {
         )
     }
 
-    fn publish(arena: &SharedArena, seq: u64, threads: u32, rate: f64) {
+    fn publish(arena: &SeqlockArena, seq: u64, threads: u32, rate: f64) {
         arena.publish(ArenaSnapshot {
             seq,
             threads,

@@ -13,8 +13,8 @@
 //! predicate turns false — including the inversion case where the unblock
 //! arrives *before* the block (the thread then never parks at all).
 
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// A scheduling signal from the manager.
@@ -27,6 +27,9 @@ pub enum Signal {
 }
 
 /// The per-thread block/unblock counting gate.
+///
+/// The counters are atomics; the `()` mutex guards no data and only
+/// orders a delivery against a waiter's check-then-park.
 #[derive(Debug, Default)]
 pub struct SignalGate {
     blocks: AtomicU64,
@@ -41,11 +44,18 @@ impl SignalGate {
         Self::default()
     }
 
+    /// Take the gate's lock. The mutex protects no data, so a holder that
+    /// panicked cannot have left anything inconsistent: poisoning is
+    /// ignored, and [`Self::deliver`] never panics on it.
+    fn guard(&self) -> MutexGuard<'_, ()> {
+        self.lock.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Deliver a signal (manager side, or a sibling thread forwarding).
     pub fn deliver(&self, s: Signal) {
         // The counter update must happen under the lock so a waiter cannot
         // observe the stale predicate between its check and its park.
-        let guard = self.lock.lock();
+        let guard = self.guard();
         match s {
             Signal::Block => self.blocks.fetch_add(1, Ordering::SeqCst),
             Signal::Unblock => self.unblocks.fetch_add(1, Ordering::SeqCst),
@@ -71,23 +81,22 @@ impl SignalGate {
     /// Park the calling thread until `should_block()` is false.
     /// Returns immediately if the thread is not blocked.
     pub fn wait_while_blocked(&self) {
-        let mut guard = self.lock.lock();
-        while self.should_block() {
-            self.cv.wait(&mut guard);
-        }
+        let guard = self.guard();
+        let _guard = self
+            .cv
+            .wait_while(guard, |_| self.should_block())
+            .unwrap_or_else(PoisonError::into_inner);
     }
 
     /// Like [`Self::wait_while_blocked`] but gives up after `timeout`.
     /// Returns `true` if the thread is clear to run, `false` on timeout.
     pub fn wait_while_blocked_timeout(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.lock.lock();
-        while self.should_block() {
-            if self.cv.wait_until(&mut guard, deadline).timed_out() {
-                return !self.should_block();
-            }
-        }
-        true
+        let guard = self.guard();
+        let _guard = self
+            .cv
+            .wait_timeout_while(guard, timeout, |_| self.should_block())
+            .unwrap_or_else(PoisonError::into_inner);
+        !self.should_block()
     }
 }
 
@@ -160,6 +169,25 @@ mod tests {
         assert!(!g.wait_while_blocked_timeout(Duration::from_millis(20)));
         g.deliver(Signal::Unblock);
         assert!(g.wait_while_blocked_timeout(Duration::from_millis(20)));
+    }
+
+    #[test]
+    fn poisoned_lock_does_not_break_delivery() {
+        // A thread that panics while holding the gate's lock poisons it;
+        // the mutex guards no data, so signals must still flow.
+        let g = Arc::new(SignalGate::new());
+        let g2 = g.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _held = g2.lock.lock().unwrap();
+            panic!("poison the gate");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(g.lock.is_poisoned());
+        g.deliver(Signal::Block);
+        assert!(!g.wait_while_blocked_timeout(Duration::from_millis(5)));
+        g.deliver(Signal::Unblock);
+        g.wait_while_blocked();
+        assert_eq!(g.counts(), (1, 1));
     }
 
     #[test]

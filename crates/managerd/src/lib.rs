@@ -4,7 +4,7 @@
 //! applications connect to, publish bandwidth samples to, and take
 //! block/unblock signals from. The simulator reproduces its *policies*
 //! over closed batches; this crate serves the manager stack itself
-//! (`busbw_core::manager` — arena/seqlock samples, protocol channel,
+//! (`busbw_core::manager` — seqlock-arena samples, protocol channel,
 //! signal gates) against an **open arrival process**: clients connect
 //! live, are scheduled by the real [`CpuManager`] quantum loop, and
 //! depart on completion, so tail latency (p99/p999 turnaround) and

@@ -5,19 +5,11 @@
 //! Λ-solve memo hits, per-app slowdowns, the bus-utilization ρ timeline —
 //! and [`MetricsRegistry::to_json`] renders one machine-readable object
 //! that is embedded next to each `results/` artifact. Everything is plain
-//! in-process state: no atomics, no global registry, no dependencies.
+//! in-process state: no atomics, no global registry; keys and numbers are
+//! rendered with `busbw_trace::json`.
 
+use busbw_trace::json::{push_f64, quote};
 use std::collections::BTreeMap;
-
-/// Format an `f64` as JSON (non-finite values become `null`).
-fn push_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
 
 /// A histogram with caller-chosen upper bucket bounds plus an implicit
 /// overflow bucket, tracking count/sum/min/max alongside.
@@ -322,14 +314,14 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{v}", json_quote(k));
+            let _ = write!(out, "{}:{v}", quote(k));
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:", json_quote(k));
+            let _ = write!(out, "{}:", quote(k));
             push_f64(&mut out, *v);
         }
         out.push_str("},\"histograms\":{");
@@ -337,7 +329,7 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:", json_quote(k));
+            let _ = write!(out, "{}:", quote(k));
             h.write_json(&mut out);
         }
         out.push_str("},\"timelines\":{");
@@ -345,36 +337,12 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:", json_quote(k));
+            let _ = write!(out, "{}:", quote(k));
             t.write_json(&mut out);
         }
         out.push_str("}}");
         out
     }
-}
-
-/// Quote a string as a JSON string literal (metric names are plain ASCII
-/// identifiers, but escape control characters, quotes and backslashes
-/// anyway).
-fn json_quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

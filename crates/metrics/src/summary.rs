@@ -8,8 +8,6 @@
 //!   3× baseline slowdown fully recovered shows as ≈ 68 %, matching the
 //!   paper's headline numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; `None` for an empty slice.
 ///
 /// An empty measurement set used to panic here, which turned recoverable
@@ -38,7 +36,7 @@ pub fn improvement_pct(baseline_us: f64, policy_us: f64) -> f64 {
 }
 
 /// One application's row in a figure: the value per configuration/policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentRow {
     /// Application name (x-axis label).
     pub app: String,
@@ -57,7 +55,7 @@ impl ExperimentRow {
 }
 
 /// A whole figure: rows per application plus derived aggregates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigureSummary {
     /// Figure identifier (e.g. `"fig2a"`).
     pub id: String,

@@ -1,7 +1,5 @@
 //! Machine configuration, calibrated to the paper's platform.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::CacheConfig;
 
 /// The paper's measured sustained front-side-bus capacity: 29.5 bus
@@ -12,7 +10,7 @@ use crate::cache::CacheConfig;
 pub const PAPER_BUS_TX_PER_US: f64 = 29.5;
 
 /// Front-side-bus parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BusConfig {
     /// Sustained capacity in bus transactions per µs. The paper measures
     /// 29.5 tx/µs with STREAM on all four processors (1797 MB/s at 64 B/tx).
@@ -70,7 +68,7 @@ impl BusConfig {
 /// the local bus of the socket it executes on, plus its remote fraction
 /// on the interconnect. `sockets == 1` is the paper's machine — one
 /// shared FSB, no interconnect traffic at all.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologyConfig {
     /// Number of sockets. Logical cpus are striped contiguously:
     /// socket `k` hosts cpus `k·(num_cpus/sockets) ..`.
@@ -128,7 +126,7 @@ impl TopologyConfig {
 }
 
 /// Whole-machine configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MachineConfig {
     /// Number of *logical* processors exposed to the scheduler. With
     /// `smt_threads_per_core = 1` (the paper's configuration — it disables
@@ -152,9 +150,7 @@ pub struct MachineConfig {
     /// *local* (per-socket) bus.
     pub bus: BusConfig,
     /// Bus topology (sockets + interconnect). Defaults to the paper's
-    /// single shared FSB; absent in serialized configs from before the
-    /// topology existed.
-    #[serde(default)]
+    /// single shared FSB.
     pub topology: TopologyConfig,
     /// Cache/affinity parameters.
     pub cache: CacheConfig,

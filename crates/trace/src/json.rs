@@ -1,8 +1,9 @@
 //! A minimal JSON renderer and parser.
 //!
-//! The workspace's vendored `serde` is a derive-only stub and no
-//! `serde_json` exists offline, so traces and manifests are rendered by
-//! hand and validated with this parser. It supports the full JSON value
+//! The workspace builds offline on `std` plus two vendored stand-ins
+//! (`rand`, `proptest`), with no `serde`, so traces, manifests and the
+//! metrics registry (`busbw-metrics`) are rendered by hand through this
+//! module and validated with this parser. It supports the full JSON value
 //! grammar minus exotic number forms (good enough to round-trip
 //! everything this crate emits); it is not a general-purpose JSON
 //! library.
