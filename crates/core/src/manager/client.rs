@@ -455,9 +455,6 @@ mod tests {
         stop.store(true, Ordering::SeqCst);
         // Unblock everyone so workers can observe stop.
         for app in &apps {
-            let _ = app;
-        }
-        for app in &apps {
             if !sel.contains(&app.id()) {
                 app.forward(Signal::Unblock, false);
             }

@@ -56,7 +56,9 @@ use crate::runner::{PolicyKind, RunCompletion, RunResult, TraceMode, UnfinishedA
 /// v7: open-system results (`OpenStats`) drop managerd's modeled
 /// manager overhead and the serve duration it was divided by (the
 /// duration stays in `sim_elapsed_us`).
-pub const RUN_SCHEMA_VERSION: u32 = 7;
+///
+/// v8: the bus keeps no Λ memo, so results drop its hit and miss counts.
+pub const RUN_SCHEMA_VERSION: u32 = 8;
 
 /// Magic bytes prefixing every on-disk cache entry.
 const MAGIC: &[u8; 8] = b"BBWRUN\x00\x01";
@@ -742,8 +744,6 @@ pub fn encode_result(r: &RunResult) -> Vec<u8> {
     for &b in &r.tick_dt_hist.buckets {
         e.u64(b);
     }
-    e.u64(r.memo_hits);
-    e.u64(r.memo_misses);
     // Stage timings are wall-clock observations, not simulation outputs:
     // a cache-served result replays the producing run's readings, which is
     // as meaningful as any other run's (they never feed figure data).
@@ -820,8 +820,6 @@ pub fn decode_result(bytes: &[u8]) -> Result<RunResult, String> {
     for b in tick_dt_hist.buckets.iter_mut() {
         *b = d.u64()?;
     }
-    let memo_hits = d.u64()?;
-    let memo_misses = d.u64()?;
     let stage_timings = match d.u8()? {
         0 => None,
         1 => {
@@ -871,8 +869,8 @@ pub fn decode_result(bytes: &[u8]) -> Result<RunResult, String> {
         completion,
         events,
         tick_dt_hist,
-        memo_hits,
-        memo_misses,
+        memo_hits: 0,
+        memo_misses: 0,
         stage_timings,
         open,
         n_levels,
@@ -1091,8 +1089,8 @@ mod tests {
                 },
             ],
             tick_dt_hist: hist,
-            memo_hits: 7,
-            memo_misses: 3,
+            memo_hits: 0,
+            memo_misses: 0,
             stage_timings: {
                 let mut t = busbw_sim::StageTimings::default();
                 t.stages[0].record_ns(120);
@@ -1148,8 +1146,6 @@ mod tests {
         assert_eq!(back.completion, r.completion);
         assert_eq!(back.events, r.events);
         assert_eq!(back.tick_dt_hist, r.tick_dt_hist);
-        assert_eq!(back.memo_hits, 7);
-        assert_eq!(back.memo_misses, 3);
         assert_eq!(back.stage_timings, r.stage_timings);
         assert_eq!(back.open, r.open);
         assert_eq!(

@@ -233,9 +233,13 @@ pub struct RunResult {
     pub events: Vec<TraceEvent>,
     /// Histogram of nominal ticks covered per tick-loop iteration.
     pub tick_dt_hist: TickDtHist,
-    /// Λ-solve memo hits of the bus model (0 when the bus keeps no memo).
+    /// Λ-solve memo hits of the bus model. No bus keeps a memo, so this
+    /// is always 0 and the run codec does not carry it; the field stays
+    /// only because the repository benchmark (`perfbench`) reads it for
+    /// its `bus.memo_*` metrics, and goes once those are retired.
     pub memo_hits: u64,
-    /// Λ-solve memo misses of the bus model.
+    /// Λ-solve memo misses of the bus model; always 0, kept for the same
+    /// reason as `memo_hits`.
     pub memo_misses: u64,
     /// Per-stage wall-time accounting when the policy is a pipeline stack
     /// (`None` for schedulers that expose no stage breakdown). Wall-clock
@@ -463,7 +467,6 @@ pub(crate) fn finalize_run(p: PreparedRun, out: busbw_sim::RunOutcome) -> RunRes
     } else {
         RunCompletion::HardCap { unfinished }
     };
-    let (memo_hits, memo_misses) = machine.bus_memo_stats().unwrap_or((0, 0));
     let mut level_utilization = [0.0; busbw_sim::MAX_BUS_LEVELS];
     let mut level_saturated = [0.0; busbw_sim::MAX_BUS_LEVELS];
     for (k, l) in out.stats.levels[..out.stats.n_levels].iter().enumerate() {
@@ -481,8 +484,8 @@ pub(crate) fn finalize_run(p: PreparedRun, out: busbw_sim::RunOutcome) -> RunRes
         completion,
         events: handle.map(|h| h.take()).unwrap_or_default(),
         tick_dt_hist: out.stats.tick_dt_hist,
-        memo_hits,
-        memo_misses,
+        memo_hits: 0,
+        memo_misses: 0,
         stage_timings,
         open: None,
         n_levels: out.stats.n_levels,
@@ -510,12 +513,11 @@ pub fn merge_traces(results: &[RunResult]) -> Vec<(usize, TraceEvent)> {
 
 /// Fold a figure's runs and merged trace into a metrics snapshot.
 ///
-/// Counters: run/tick/event totals and Λ-memo hits/misses. Gauges: memo
-/// hit rate, unfinished-run count, and one per-figure-cell gauge
-/// (`fig.<row>.<series>` — Fig. 1B slowdowns / Fig. 2 improvements, i.e.
-/// the per-app slowdown gauges). Histograms: tick-loop coverage folded
-/// from every run's [`TickDtHist`]. Timelines: bus utilization ρ from the
-/// merged `bus_solve` events.
+/// Counters: run/tick/event totals. Gauges: unfinished-run count, and one
+/// per-figure-cell gauge (`fig.<row>.<series>` — Fig. 1B slowdowns /
+/// Fig. 2 improvements, i.e. the per-app slowdown gauges). Histograms:
+/// tick-loop coverage folded from every run's [`TickDtHist`]. Timelines:
+/// bus utilization ρ from the merged `bus_solve` events.
 pub fn collect_metrics(
     fig: &busbw_metrics::FigureSummary,
     results: &[RunResult],
@@ -531,7 +533,6 @@ pub fn collect_metrics(
     reg.set_gauge("runs.unfinished", unfinished as f64);
     reg.inc_counter("trace.events", merged.len() as u64);
 
-    let (mut hits, mut misses) = (0u64, 0u64);
     // le-bounds 1, 2, 4, …, 64 plus the overflow bucket: one histogram
     // bucket per TickDtHist bucket (samples are recorded at bucket floors).
     let bounds: Vec<f64> = (0..7).map(|i| TickDtHist::bucket_lo(i) as f64).collect();
@@ -545,13 +546,6 @@ pub fn collect_metrics(
     }
     for r in results {
         reg.inc_counter("sim.ticks", r.ticks);
-        hits += r.memo_hits;
-        misses += r.memo_misses;
-    }
-    reg.inc_counter("bus.memo_hits", hits);
-    reg.inc_counter("bus.memo_misses", misses);
-    if hits + misses > 0 {
-        reg.set_gauge("bus.memo_hit_rate", hits as f64 / (hits + misses) as f64);
     }
 
     for (ji, ev) in merged {

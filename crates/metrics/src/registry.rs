@@ -1,8 +1,8 @@
 //! A small run-metrics registry: counters, gauges, histograms, and
 //! timelines, snapshotted as JSON into the run manifest.
 //!
-//! The experiment harness records what a run *did* — ticks simulated, bus
-//! Λ-solve memo hits, per-app slowdowns, the bus-utilization ρ timeline —
+//! The experiment harness records what a run *did* — ticks simulated,
+//! per-app slowdowns, the bus-utilization ρ timeline —
 //! and [`MetricsRegistry::to_json`] renders one machine-readable object
 //! that is embedded next to each `results/` artifact. Everything is plain
 //! in-process state: no atomics, no global registry; keys and numbers are
@@ -241,11 +241,11 @@ impl Timeline {
 /// ```
 /// use busbw_metrics::MetricsRegistry;
 /// let mut m = MetricsRegistry::new();
-/// m.inc_counter("bus.memo_hits", 42);
+/// m.inc_counter("sim.ticks", 42);
 /// m.set_gauge("app.cg.slowdown", 2.63);
 /// m.histogram("tick.dt_ticks", &[1.0, 8.0, 64.0]).record(3.0);
 /// m.timeline("bus.rho").push(1000, 0.97);
-/// assert!(m.to_json().contains("\"bus.memo_hits\":42"));
+/// assert!(m.to_json().contains("\"sim.ticks\":42"));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {

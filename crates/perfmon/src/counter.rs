@@ -158,6 +158,25 @@ impl CounterSet {
         self.get_mut(kind).add(amount);
     }
 
+    /// Accumulate one stretch of running: bus transactions issued, cycles
+    /// on the cpu and virtual progress. The same as three [`Self::add`]
+    /// calls, with one check of all three amounts.
+    ///
+    /// # Panics
+    /// Panics if any amount is negative, infinite or NaN.
+    #[inline]
+    pub fn add_running(&mut self, transactions: f64, cycles: f64, progress: f64) {
+        let ok = |a: f64| (0.0..f64::INFINITY).contains(&a);
+        assert!(
+            ok(transactions) & ok(cycles) & ok(progress),
+            "counter increments must be finite and non-negative, got \
+             {transactions}, {cycles}, {progress}"
+        );
+        self.counters[EventKind::BusTransactions.index()].total += transactions;
+        self.counters[EventKind::CyclesOnCpu.index()].total += cycles;
+        self.counters[EventKind::VirtualProgress.index()].total += progress;
+    }
+
     /// Iterate `(kind, total)` pairs.
     pub fn totals(&self) -> impl Iterator<Item = (EventKind, f64)> + '_ {
         EventKind::ALL
@@ -204,6 +223,41 @@ mod tests {
         assert_eq!(s.get(EventKind::BusTransactions).total(), 100.0);
         assert_eq!(s.get(EventKind::CyclesOnCpu).total(), 7.0);
         assert_eq!(s.get(EventKind::VirtualProgress).total(), 0.0);
+    }
+
+    #[test]
+    fn add_running_matches_three_adds() {
+        let mut a = CounterSet::new();
+        let mut b = CounterSet::new();
+        for (t, c, p) in [(3.5, 100.0, 0.25), (0.0, 7.0, 0.0), (1e-300, 0.1, 2.0)] {
+            a.add_running(t, c, p);
+            b.add(EventKind::BusTransactions, t);
+            b.add(EventKind::CyclesOnCpu, c);
+            b.add(EventKind::VirtualProgress, p);
+        }
+        for k in EventKind::ALL {
+            assert_eq!(a.get(k).total().to_bits(), b.get(k).total().to_bits());
+        }
+    }
+
+    #[test]
+    fn add_running_rejects_every_bad_amount_in_every_position() {
+        for bad in [
+            -1.0,
+            -0.0 - 1e-300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            for pos in 0..3 {
+                let mut amounts = [1.0; 3];
+                amounts[pos] = bad;
+                let caught = std::panic::catch_unwind(|| {
+                    CounterSet::new().add_running(amounts[0], amounts[1], amounts[2])
+                });
+                assert!(caught.is_err(), "{bad} at position {pos} accepted");
+            }
+        }
     }
 
     #[test]

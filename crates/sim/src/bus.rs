@@ -33,10 +33,6 @@ use crate::config::{BusConfig, TopologyConfig};
 use crate::ids::ThreadId;
 
 /// One thread's demand presented to the bus for a tick.
-///
-/// `PartialEq` compares the raw fields bitwise-style (`f64` equality);
-/// [`FsbBus`] uses it to detect an unchanged demand set and skip the Λ
-/// solve entirely.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusRequest {
     /// The requesting thread.
@@ -142,14 +138,14 @@ pub const MAX_BUS_LEVELS: usize = 5;
 
 /// A bus arbitration model.
 ///
-/// `&mut self` lets models keep scratch buffers and memoized solver state
-/// between ticks. Models must stay deterministic: the same sequence of
-/// calls since construction must yield the same outcomes, which the
+/// `&mut self` lets models keep scratch buffers and warm-start solver
+/// state between ticks. Models must stay deterministic: the same sequence
+/// of calls since construction must yield the same outcomes, which the
 /// machine's run-to-run reproducibility depends on. (Warm-started solvers
 /// may give ulp-level different answers for the same request set under a
 /// different call history; that is fine, history replays identically.)
 /// Models are also `Clone` (see [`BusModelClone`]), so a cloned machine
-/// resumes with the same memo and warm-start state as the original.
+/// resumes with the same warm-start state as the original.
 pub trait BusModel: Send + BusModelClone {
     /// Resolve one tick's demands into `out`, reusing its allocations.
     /// Implementations must fully overwrite `out` (including clearing
@@ -166,14 +162,6 @@ pub trait BusModel: Send + BusModelClone {
     /// Nominal (single-master) sustained capacity, tx/µs.
     fn nominal_capacity(&self) -> f64;
 
-    /// Memoization counters `(hits, misses)` for models that cache their
-    /// Λ solve, `None` for models without a memo. Lets run manifests
-    /// report the memo hit rate without downcasting through
-    /// `Box<dyn BusModel>`.
-    fn memo_stats(&self) -> Option<(u64, u64)> {
-        None
-    }
-
     /// Per-level outcomes of the most recent arbitration, in a fixed
     /// order (sockets 0.., then the interconnect last). Single-level
     /// models return the empty slice, which the machine reads as "no
@@ -187,7 +175,7 @@ pub trait BusModel: Send + BusModelClone {
 /// with it a whole [`crate::Machine`]) is `Clone`. Blanket-implemented for
 /// every `Clone` model; implementors only need `#[derive(Clone)]`.
 pub trait BusModelClone {
-    /// A boxed copy of this model, memo and scratch state included.
+    /// A boxed copy of this model, warm-start and scratch state included.
     fn clone_box(&self) -> Box<dyn BusModel>;
 }
 
@@ -219,8 +207,11 @@ const LAMBDA_MAX: f64 = 1e9;
 /// The left side `f(λ)` is strictly decreasing and convex in λ for any
 /// thread with µ > 0, so Newton's method started left of the root
 /// converges monotonically (tangents of a convex function never overshoot
-/// the root from the left) and quadratically — typically 3–6 iterations,
-/// fewer when `warm` (the previous tick's λ) is still left of the root.
+/// the root from the left) and quadratically. From the cold start λ = 1
+/// a solve takes about eight evaluations on the Fig. 2 cells, fewer when
+/// `warm` (the previous tick's λ) is still left of the root. That is rare:
+/// `experiments all --scale 0.1` accepts the warm start on 1,792 of its
+/// 2.34M saturated solves.
 ///
 /// Edge cases, each pinned by a unit test below:
 /// * **Empty or all-zero-rate request sets** never exceed capacity, so
@@ -238,67 +229,27 @@ const LAMBDA_MAX: f64 = 1e9;
 /// Bit-determinism: the result depends only on `(reqs, cap, warm)` — the
 /// request iteration order and every arithmetic operation are fixed.
 pub fn solve_lambda(reqs: &[BusRequest], cap: f64, warm: f64) -> f64 {
-    let n = reqs.len();
-    if n <= SOLVE_INLINE_LANES {
-        // Hot sizes (one request per cpu) are unpacked once into dense
-        // stack lanes with the `1 − µ` term hoisted out of the Newton
-        // evaluations. Bit-identical to the general path: the same
-        // subtraction, performed once instead of once per evaluation.
-        let mut rate = [0.0f64; SOLVE_INLINE_LANES];
-        let mut mu = [0.0f64; SOLVE_INLINE_LANES];
-        let mut one_minus_mu = [0.0f64; SOLVE_INLINE_LANES];
-        for (i, r) in reqs.iter().enumerate() {
-            rate[i] = r.rate;
-            mu[i] = r.mu;
-            one_minus_mu[i] = 1.0 - r.mu;
-        }
-        newton(
-            |lambda| lanes_f_and_slope(&rate[..n], &mu[..n], &one_minus_mu[..n], cap, lambda),
-            warm,
-        )
-    } else {
-        newton(
-            |lambda| {
-                let mut f = -cap;
-                let mut fp = 0.0;
-                for r in reqs {
-                    let denom = (1.0 - r.mu) + r.mu * lambda;
-                    let term = r.rate / denom;
-                    f += term;
-                    fp -= term * r.mu / denom;
-                }
-                (f, fp)
-            },
-            warm,
-        )
-    }
-}
-
-/// Request sets up to this size solve over stack-allocated SoA lanes; one
-/// request per cpu means real machines sit far below it.
-const SOLVE_INLINE_LANES: usize = 16;
-
-/// The Newton iteration of [`solve_lambda`]: `eval` returns `(f, f')` at
-/// a trial λ.
-///
-/// The accepted-warm-start evaluation is reused for the first iteration —
-/// the values are the ones the first loop pass would recompute at the same
-/// λ, so the iterate sequence (and thus the result) is unchanged while the
-/// hot path saves one full evaluation per warm-started solve.
-fn newton(mut eval: impl FnMut(f64) -> (f64, f64), warm: f64) -> f64 {
     let mut lambda = 1.0;
+    // The warm start and the cold start λ = 1 are evaluated in one pass:
+    // the solve is bound by the latency of each evaluation, so the second
+    // comes almost free, and a rejected warm start (the common case) does
+    // not delay the first cold iteration. Each evaluation's values are
+    // the ones a separate pass would give, so the iterate sequence is
+    // unchanged.
     let mut cached = None;
     if warm > 1.0 && warm.is_finite() {
-        let e = eval(warm);
-        if e.0 > 0.0 {
+        let [at_warm, at_one] = f_and_slope(reqs, cap, [warm, 1.0]);
+        cached = Some(if at_warm.0 > 0.0 {
             lambda = warm;
-            cached = Some(e);
-        }
+            at_warm
+        } else {
+            at_one
+        });
     }
     for _ in 0..64 {
         let (f, fp) = match cached.take() {
             Some(e) => e,
-            None => eval(lambda),
+            None => f_and_slope(reqs, cap, [lambda])[0],
         };
         if f <= 0.0 {
             // At (or an ulp past) the root.
@@ -322,34 +273,44 @@ fn newton(mut eval: impl FnMut(f64) -> (f64, f64), warm: f64) -> f64 {
     lambda
 }
 
-/// Memoized result of one [`FsbBus`] arbitration: everything that is
-/// expensive to recompute, keyed by the exact request sequence. A fresh
-/// memo holds no requests, so it never matches the non-empty sets that
-/// reach the lookup.
-#[derive(Debug, Clone, Default)]
-struct FsbMemo {
-    reqs: Vec<BusRequest>,
+/// `f(λ) = Σ dᵢ/((1−µᵢ) + µᵢλ) − cap` and its derivative at each of `K`
+/// trial λs, in one pass over the requests. Every evaluation runs the same
+/// operations in request order whatever `K` is, so its bits do not depend
+/// on what it is evaluated alongside.
+#[inline]
+fn f_and_slope<const K: usize>(
+    reqs: &[BusRequest],
     cap: f64,
-    total_demand: f64,
-    utilization: f64,
-    saturated: bool,
-    lambda: f64,
+    lambdas: [f64; K],
+) -> [(f64, f64); K] {
+    let mut out = [(-cap, 0.0); K];
+    for r in reqs {
+        let a = 1.0 - r.mu;
+        for ((f, fp), lambda) in out.iter_mut().zip(lambdas) {
+            let denom = a + r.mu * lambda;
+            let term = r.rate / denom;
+            *f += term;
+            *fp -= term * r.mu / denom;
+        }
+    }
+    out
 }
 
 /// The default front-side-bus model described in the module docs.
 ///
-/// Between ticks the bus keeps the previous request set and its solved Λ:
-/// an identical request sequence (the common case once caches are warm and
-/// demands are phase-constant) reuses the previous solution outright, and
-/// a changed set warm-starts the root solve from the previous Λ.
+/// Every non-empty arbitration runs the full solve. Between ticks the bus
+/// keeps only the previous Λ, the warm start of the next saturated solve:
+/// cache warmth moves every tick, so the request set is almost never
+/// repeated and a cached outcome would not pay for its compare.
 #[derive(Debug, Clone)]
 pub struct FsbBus {
     cfg: BusConfig,
-    memo: FsbMemo,
-    memo_hits: u64,
-    memo_misses: u64,
+    /// Λ of the previous arbitration (the next solve's warm start).
+    lambda: f64,
+    /// `cfg.effective_capacity(n)` per master count `n`, grown on demand.
+    cap_by_masters: Vec<f64>,
     // Memoized queueing power: `powf` costs as much as a whole Newton
-    // evaluation and every saturated miss computes it at utilization
+    // evaluation and every saturated tick computes it at utilization
     // exactly 1.0 (ρ is clamped), so one (input, output) pair answers
     // nearly every call on the hot path.
     pow_u: f64,
@@ -361,9 +322,8 @@ impl FsbBus {
     pub fn new(cfg: BusConfig) -> Self {
         Self {
             cfg,
-            memo: FsbMemo::default(),
-            memo_hits: 0,
-            memo_misses: 0,
+            lambda: 0.0,
+            cap_by_masters: Vec::new(),
             pow_u: f64::NAN,
             pow_v: f64::NAN,
         }
@@ -374,69 +334,45 @@ impl FsbBus {
         &self.cfg
     }
 
-    /// Arbitrations answered from the unchanged-demand-set memo.
-    pub fn memo_hits(&self) -> u64 {
-        self.memo_hits
-    }
-
-    /// Arbitrations that ran the full solve.
-    pub fn memo_misses(&self) -> u64 {
-        self.memo_misses
-    }
-
-    /// Rebuild `out` (shares and aggregates) from the memoized solution.
-    fn fill_outcome(&self, reqs: &[BusRequest], out: &mut BusOutcome) {
-        let lambda = self.memo.lambda;
-        out.shares.clear();
-        let mut total_issued = 0.0;
-        for r in reqs {
-            let speed = dilated_speed(r.mu, lambda);
-            let issue_rate = r.rate * speed;
-            total_issued += issue_rate;
-            out.shares.push(BusShare {
-                thread: r.thread,
-                speed,
-                issue_rate,
-            });
+    /// [`BusConfig::effective_capacity`] for `n_masters`, from a table
+    /// filled by the same formula the first time each count is seen.
+    fn effective_capacity(&mut self, n_masters: usize) -> f64 {
+        if n_masters >= self.cap_by_masters.len() {
+            let cfg = self.cfg;
+            let from = self.cap_by_masters.len();
+            self.cap_by_masters
+                .extend((from..=n_masters).map(|n| cfg.effective_capacity(n)));
         }
-        out.total_demand = self.memo.total_demand;
-        out.total_issued = total_issued;
-        out.effective_capacity = self.memo.cap;
-        out.dilation = lambda;
-        out.utilization = self.memo.utilization;
-        out.saturated = self.memo.saturated;
+        self.cap_by_masters[n_masters]
     }
-}
 
-impl BusModel for FsbBus {
-    fn arbitrate_into(&mut self, reqs: &[BusRequest], out: &mut BusOutcome) {
+    /// Everything of an arbitration but the per-thread shares: demand,
+    /// capacity, Λ, utilization and saturation (`issued` is left at 0).
+    /// An empty set leaves the warm start untouched.
+    fn solve(&mut self, reqs: &[BusRequest]) -> LevelOutcome {
         if reqs.is_empty() {
-            out.reset(self.cfg.capacity_tx_per_us);
-            return;
+            return LevelOutcome {
+                effective_capacity: self.cfg.capacity_tx_per_us,
+                dilation: 1.0,
+                ..LevelOutcome::default()
+            };
         }
-        if self.memo.reqs == reqs {
-            self.memo_hits += 1;
-            self.fill_outcome(reqs, out);
-            return;
-        }
-        // Full solve; remember everything for the next tick. One fused
-        // pass counts active masters and sums demand (the sum's addition
-        // order is the request order either way).
-        self.memo_misses += 1;
+        // One fused pass counts active masters and sums demand (the sum's
+        // addition order is the request order either way).
         let mut n_masters = 0usize;
-        let mut total_demand = 0.0f64;
+        let mut demand = 0.0f64;
         for r in reqs {
             if r.rate > self.cfg.active_master_threshold {
                 n_masters += 1;
             }
-            total_demand += r.rate;
+            demand += r.rate;
         }
-        let cap = self.cfg.effective_capacity(n_masters);
-        let utilization = (total_demand / cap).min(1.0);
-        let saturated = total_demand > cap;
+        let effective_capacity = self.effective_capacity(n_masters);
+        let utilization = (demand / effective_capacity).min(1.0);
+        let saturated = demand > effective_capacity;
         // The warm start is the *previous* solution.
         let lambda_sat = if saturated {
-            solve_lambda(reqs, cap, self.memo.lambda)
+            solve_lambda(reqs, effective_capacity, self.lambda)
         } else {
             1.0
         };
@@ -452,48 +388,44 @@ impl BusModel for FsbBus {
             self.pow_v = utilization.powf(self.cfg.queueing_exponent);
         }
         let queueing = self.cfg.queueing_coeff * self.pow_v;
-        self.memo.reqs.clear();
-        self.memo.reqs.extend_from_slice(reqs);
-        self.memo.cap = cap;
-        self.memo.total_demand = total_demand;
-        self.memo.utilization = utilization;
-        self.memo.saturated = saturated;
-        self.memo.lambda = lambda_sat.max(1.0 + queueing);
-        self.fill_outcome(reqs, out);
+        self.lambda = lambda_sat.max(1.0 + queueing);
+        LevelOutcome {
+            demand,
+            issued: 0.0,
+            effective_capacity,
+            dilation: self.lambda,
+            utilization,
+            saturated,
+        }
+    }
+}
+
+impl BusModel for FsbBus {
+    fn arbitrate_into(&mut self, reqs: &[BusRequest], out: &mut BusOutcome) {
+        let level = self.solve(reqs);
+        out.shares.clear();
+        let mut total_issued = 0.0;
+        for r in reqs {
+            let speed = dilated_speed(r.mu, level.dilation);
+            let issue_rate = r.rate * speed;
+            total_issued += issue_rate;
+            out.shares.push(BusShare {
+                thread: r.thread,
+                speed,
+                issue_rate,
+            });
+        }
+        out.total_demand = level.demand;
+        out.total_issued = total_issued;
+        out.effective_capacity = level.effective_capacity;
+        out.dilation = level.dilation;
+        out.utilization = level.utilization;
+        out.saturated = level.saturated;
     }
 
     fn nominal_capacity(&self) -> f64 {
         self.cfg.capacity_tx_per_us
     }
-
-    fn memo_stats(&self) -> Option<(u64, u64)> {
-        Some((self.memo_hits, self.memo_misses))
-    }
-}
-
-/// Evaluate f(λ) = Σ dᵢ/(aᵢ + bᵢλ) − cap and its derivative over one SoA
-/// lane whose `1 − µ` terms are precomputed. Same iteration order and op
-/// sequence as the general path inside [`solve_lambda`] (the hoisted
-/// subtraction yields the identical value), so the two are bit-identical.
-/// Dense `f64` lanes with no per-element branches keep the loop open to
-/// autovectorization.
-#[inline]
-fn lanes_f_and_slope(
-    rate: &[f64],
-    mu: &[f64],
-    one_minus_mu: &[f64],
-    cap: f64,
-    lambda: f64,
-) -> (f64, f64) {
-    let mut f = -cap;
-    let mut fp = 0.0;
-    for ((d, m), a) in rate.iter().zip(mu.iter()).zip(one_minus_mu.iter()) {
-        let denom = a + m * lambda;
-        let term = d / denom;
-        f += term;
-        fp -= term * m / denom;
-    }
-    (f, fp)
 }
 
 /// A multi-socket bus topology: N sockets, each with its own local bus
@@ -503,18 +435,19 @@ fn lanes_f_and_slope(
 /// A request charges every level it crosses: its full rate on the local
 /// bus of the socket it executes on, and `remote × rate` on the
 /// interconnect. Λ is solved **per level** — each level is literally an
-/// [`FsbBus`] (same arbitration derate, saturated [`solve_lambda`] root
-/// with a per-level warm-start memo, sub-saturation queueing penalty; the
-/// interconnect level zeroes the per-master derate, a point-to-point link
-/// does not re-arbitrate per master) — and a thread's grant is the min
-/// across the levels it touches: its effective dilation is
+/// [`FsbBus`] solve (same arbitration derate, saturated [`solve_lambda`]
+/// root warm-started from that level's previous Λ, sub-saturation
+/// queueing penalty; the interconnect level zeroes the per-master derate,
+/// a point-to-point link does not re-arbitrate per master) — and a
+/// thread's grant is the min across the levels it touches: its effective
+/// dilation is
 /// `max(Λ_local(socket), Λ_interconnect if remote > 0)`.
 ///
 /// **Degenerate case**: at one socket every request is local (the machine
 /// derives `remote = 0`), level 0 receives exactly the request sequence a
 /// bare [`FsbBus`] would, and the final per-thread speeds re-run the same
 /// `dilated_speed` fold — so the outcome is bit-identical to [`FsbBus`],
-/// memo behaviour included. A differential test below pins this; the
+/// warm starts included. A differential test below pins this; the
 /// machine still instantiates the bare [`FsbBus`] for single-socket
 /// configs, so the equivalence is a proven invariant rather than a
 /// load-bearing path.
@@ -528,8 +461,6 @@ pub struct HierarchicalBus {
     local: Vec<Vec<BusRequest>>,
     /// Interconnect request scratch (rates pre-scaled by `remote`).
     inter: Vec<BusRequest>,
-    /// Per-level outcome scratch.
-    level_out: Vec<BusOutcome>,
     /// Per-level summaries of the last arbitration (sockets, then
     /// interconnect), exposed through [`BusModel::levels`].
     levels: Vec<LevelOutcome>,
@@ -555,9 +486,6 @@ impl HierarchicalBus {
             level_bus,
             local: vec![Vec::new(); sockets],
             inter: Vec::new(),
-            level_out: (0..n_levels)
-                .map(|_| BusOutcome::empty(cfg.capacity_tx_per_us))
-                .collect(),
             levels: vec![LevelOutcome::default(); n_levels],
         }
     }
@@ -591,31 +519,12 @@ impl BusModel for HierarchicalBus {
         }
         // Solve each level independently (sockets in index order, then
         // the interconnect) — fixed iteration order keeps the model
-        // deterministic and each level's FsbBus memo coherent.
+        // deterministic and each level's warm start its own previous Λ.
+        // `issued` is re-folded below at the final per-thread speeds.
         for k in 0..sockets {
-            let (bus, slot) = (&mut self.level_bus[k], &mut self.level_out[k]);
-            bus.arbitrate_into(&self.local[k], slot);
-            self.levels[k] = LevelOutcome {
-                demand: slot.total_demand,
-                issued: 0.0, // re-folded below at the final per-thread speeds
-                effective_capacity: slot.effective_capacity,
-                dilation: slot.dilation,
-                utilization: slot.utilization,
-                saturated: slot.saturated,
-            };
+            self.levels[k] = self.level_bus[k].solve(&self.local[k]);
         }
-        {
-            let (bus, slot) = (&mut self.level_bus[sockets], &mut self.level_out[sockets]);
-            bus.arbitrate_into(&self.inter, slot);
-            self.levels[sockets] = LevelOutcome {
-                demand: slot.total_demand,
-                issued: 0.0,
-                effective_capacity: slot.effective_capacity,
-                dilation: slot.dilation,
-                utilization: slot.utilization,
-                saturated: slot.saturated,
-            };
-        }
+        self.levels[sockets] = self.level_bus[sockets].solve(&self.inter);
         let lambda_inter = self.levels[sockets].dilation;
         // Final fold, in request order: each thread is dilated by the
         // worst level it touches, and issued traffic is re-attributed to
@@ -669,16 +578,6 @@ impl BusModel for HierarchicalBus {
 
     fn nominal_capacity(&self) -> f64 {
         self.cfg.capacity_tx_per_us * self.local.len() as f64
-    }
-
-    fn memo_stats(&self) -> Option<(u64, u64)> {
-        let mut hits = 0;
-        let mut misses = 0;
-        for b in &self.level_bus {
-            hits += b.memo_hits();
-            misses += b.memo_misses();
-        }
-        Some((hits, misses))
     }
 
     fn levels(&self) -> &[LevelOutcome] {
@@ -1051,31 +950,33 @@ mod tests {
     }
 
     #[test]
-    fn unchanged_demand_set_reuses_memo_bit_identically() {
+    fn unchanged_demand_set_resolves_bit_identically() {
+        // A repeated request set re-solves warm-started from its own Λ,
+        // and must land on exactly the outcome of the first solve.
         let mut bus = default_fsb();
         let reqs: Vec<_> = (0..4).map(|i| req(i, 15.0, 0.9)).collect();
         let a = bus.arbitrate(&reqs);
-        assert_eq!((bus.memo_misses(), bus.memo_hits()), (1, 0));
-        let b = bus.arbitrate(&reqs);
-        assert_eq!((bus.memo_misses(), bus.memo_hits()), (1, 1));
-        assert_eq!(a.dilation.to_bits(), b.dilation.to_bits());
-        assert_eq!(a.total_issued.to_bits(), b.total_issued.to_bits());
-        for (x, y) in a.shares.iter().zip(&b.shares) {
-            assert_eq!(x.speed.to_bits(), y.speed.to_bits());
-            assert_eq!(x.issue_rate.to_bits(), y.issue_rate.to_bits());
+        assert!(a.saturated);
+        for _ in 0..3 {
+            let b = bus.arbitrate(&reqs);
+            assert_eq!(a.dilation.to_bits(), b.dilation.to_bits());
+            assert_eq!(a.total_issued.to_bits(), b.total_issued.to_bits());
+            for (x, y) in a.shares.iter().zip(&b.shares) {
+                assert_eq!(x.speed.to_bits(), y.speed.to_bits());
+                assert_eq!(x.issue_rate.to_bits(), y.issue_rate.to_bits());
+            }
         }
-        // Any change to the demand set falls back to the full solve.
+        // A changed demand set moves Λ.
         let mut reqs2 = reqs.clone();
         reqs2[0].rate += 1.0;
-        bus.arbitrate(&reqs2);
-        assert_eq!((bus.memo_misses(), bus.memo_hits()), (2, 1));
+        assert!(bus.arbitrate(&reqs2).dilation > a.dilation);
     }
 
     #[test]
     fn warm_started_solve_matches_cold_solve() {
         let reqs: Vec<_> = (0..4).map(|i| req(i, 15.0, 0.9)).collect();
         let mut warm = default_fsb();
-        // Seed the memo with a different saturated set so the next solve
+        // Solve a different saturated set first so the next solve
         // warm-starts from its λ.
         warm.arbitrate(&[req(9, 40.0, 1.0), req(10, 40.0, 1.0)]);
         let w = warm.arbitrate(&reqs);
@@ -1155,10 +1056,16 @@ mod tests {
 
     #[test]
     fn unsaturated_arbitrate_needs_no_solve() {
+        // Below saturation Λ is the queueing term alone, exactly
+        // `1 + κρ^p`: no Newton solve contributes to it.
+        let cfg = BusConfig::default();
         let mut bus = default_fsb();
         let out = bus.arbitrate(&[req(0, 1.0, 0.2)]);
-        assert_eq!(bus.memo_stats(), Some((0, 1)));
         assert!(!out.saturated);
+        let rho = 1.0 / cfg.effective_capacity(1);
+        assert_eq!(out.utilization.to_bits(), rho.to_bits());
+        let expected = 1.0 + cfg.queueing_coeff * rho.powf(cfg.queueing_exponent);
+        assert_eq!(out.dilation.to_bits(), expected.to_bits());
     }
 
     // --- HierarchicalBus --------------------------------------------
@@ -1177,8 +1084,8 @@ mod tests {
     fn hierarchical_single_socket_is_bit_identical_to_fsb() {
         // The degenerate 1-socket topology must reproduce FsbBus
         // byte-for-byte across a history exercising every path: a
-        // saturated solve, a memo hit, an unsaturated set, an empty
-        // tick, and a warm-started re-solve.
+        // saturated solve, the same set re-solved, an unsaturated set, an
+        // empty tick, and a warm-started re-solve.
         let mut fsb = default_fsb();
         let mut hier = HierarchicalBus::new(BusConfig::default(), SINGLE_SOCKET_TOPO);
         let sat: Vec<_> = (0..4).map(|i| req(i, 15.0, 0.9)).collect();
@@ -1203,7 +1110,6 @@ mod tests {
                 assert_eq!(x.issue_rate.to_bits(), y.issue_rate.to_bits());
             }
         }
-        assert_eq!(fsb.memo_stats(), hier.memo_stats());
         // 2 levels reported (socket 0 + idle interconnect).
         assert_eq!(hier.levels().len(), 2);
     }

@@ -29,9 +29,9 @@ use crate::ids::{CpuId, ThreadId};
 /// Warmth this close to 1 snaps to exactly 1.0 (reached after ~14τ of
 /// continuous residency). Without the snap, warmth approaches 1 only in
 /// the limit and every tick keeps producing a new f64, which defeats the
-/// bus's unchanged-demand-set memo and the machine's tick coarsening; the
-/// induced model error is below 1e-6 relative, far under the 0.1-unit
-/// precision of the reported tables.
+/// machine's tick coarsening (it waits for every placed thread to reach
+/// warmth 1.0); the induced model error is below 1e-6 relative, far under
+/// the 0.1-unit precision of the reported tables.
 const WARMTH_SNAP: f64 = 1e-6;
 
 /// Cache model parameters.
@@ -67,12 +67,17 @@ impl Default for CacheConfig {
 /// Thread IDs are dense (sequential from 0), so warmth lives in flat
 /// per-cpu `Vec<f64>`s indexed by thread id — `0.0` means "no tracked
 /// state", exactly the old untracked case. Lookups on the per-tick hot
-/// path are O(1) with no tree walks or per-tick allocation.
+/// path are O(1) with no tree walks or per-tick allocation. Beside each
+/// cpu's table sits the list of thread indices whose warmth there is
+/// non-zero, so a tick's decay pass visits only live entries.
 #[derive(Debug, Clone)]
 pub struct CacheState {
     cfg: CacheConfig,
     /// Per cpu: warmth per thread index; `0.0` = no tracked state.
     per_cpu: Vec<Vec<f64>>,
+    /// Per cpu: exactly the thread indices whose warmth is non-zero, each
+    /// once, in no particular order.
+    tracked: Vec<Vec<usize>>,
     // Memoized exponentials: ticks are usually a uniform length, so the
     // two `exp` calls per advance collapse to a compare.
     last_dt_us: f64,
@@ -86,6 +91,7 @@ impl CacheState {
         Self {
             cfg,
             per_cpu: vec![Vec::new(); num_cpus],
+            tracked: vec![Vec::new(); num_cpus],
             last_dt_us: f64::NAN,
             build: 0.0,
             decay: 1.0,
@@ -157,6 +163,7 @@ impl CacheState {
             // Idle cpu: contents persist (no one is evicting).
             let Some(t) = occ else { continue };
             let slots = &mut self.per_cpu[cpu_idx];
+            let tracked = &mut self.tracked[cpu_idx];
             let ti = t.0 as usize;
             if slots.len() <= ti {
                 slots.resize(ti + 1, 0.0);
@@ -165,31 +172,43 @@ impl CacheState {
             // floor are dropped (set to the untracked value 0.0). The
             // occupant is never garbage-collected: its per-tick warmth
             // gain can be below the floor.
-            for (i, w) in slots.iter_mut().enumerate() {
-                if *w == 0.0 || i == ti {
-                    continue;
+            let mut j = 0;
+            while j < tracked.len() {
+                let i = tracked[j];
+                if i != ti {
+                    let w = &mut slots[i];
+                    *w *= decay;
+                    // A zero floor drops an entry only once it underflows.
+                    if *w < min || *w == 0.0 {
+                        *w = 0.0;
+                        tracked.swap_remove(j);
+                        continue;
+                    }
                 }
-                *w *= decay;
-                if *w < min {
-                    *w = 0.0;
-                }
+                j += 1;
             }
             // The occupant warms up, snapping to exactly 1.0 once within
             // WARMTH_SNAP so steady state is a fixed point (see const doc).
             let w = &mut slots[ti];
+            let was_tracked = *w != 0.0;
             *w += (1.0 - *w) * build;
             if *w > 1.0 - WARMTH_SNAP {
                 *w = 1.0;
+            }
+            if !was_tracked && *w != 0.0 {
+                tracked.push(ti);
             }
         }
     }
 
     /// Drop all state belonging to `thread` (thread exit).
     pub fn forget(&mut self, thread: ThreadId) {
-        for slots in &mut self.per_cpu {
-            if let Some(w) = slots.get_mut(thread.0 as usize) {
+        let ti = thread.0 as usize;
+        for (slots, tracked) in self.per_cpu.iter_mut().zip(&mut self.tracked) {
+            if let Some(w) = slots.get_mut(ti) {
                 *w = 0.0;
             }
+            tracked.retain(|&i| i != ti);
         }
     }
 
@@ -320,5 +339,143 @@ mod tests {
     #[should_panic(expected = "placement width")]
     fn wrong_placement_width_panics() {
         two_cpu().advance(&[None], 1.0);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The cache model as a plain full scan: every slot of every
+        /// occupied cpu is visited each advance. The tracked-entry
+        /// [`CacheState`] must agree with it bit for bit.
+        struct FullScan {
+            cfg: CacheConfig,
+            per_cpu: Vec<Vec<f64>>,
+        }
+
+        impl FullScan {
+            fn warmth(&self, cpu: usize, t: usize) -> f64 {
+                self.per_cpu[cpu].get(t).copied().unwrap_or(0.0)
+            }
+
+            fn advance(&mut self, running: &[Option<ThreadId>], dt_us: f64) {
+                let build = 1.0 - (-dt_us / self.cfg.warmup_tau_us).exp();
+                let decay = (-dt_us / self.cfg.decay_tau_us).exp();
+                for (cpu, occ) in running.iter().enumerate() {
+                    let Some(t) = occ else { continue };
+                    let ti = t.0 as usize;
+                    let slots = &mut self.per_cpu[cpu];
+                    if slots.len() <= ti {
+                        slots.resize(ti + 1, 0.0);
+                    }
+                    for (i, w) in slots.iter_mut().enumerate() {
+                        if *w == 0.0 || i == ti {
+                            continue;
+                        }
+                        *w *= decay;
+                        if *w < self.cfg.min_tracked_warmth {
+                            *w = 0.0;
+                        }
+                    }
+                    let w = &mut slots[ti];
+                    *w += (1.0 - *w) * build;
+                    if *w > 1.0 - WARMTH_SNAP {
+                        *w = 1.0;
+                    }
+                }
+            }
+
+            fn forget(&mut self, t: usize) {
+                for slots in &mut self.per_cpu {
+                    if let Some(w) = slots.get_mut(t) {
+                        *w = 0.0;
+                    }
+                }
+            }
+
+            fn warmest_cpu(&self, t: usize) -> Option<(CpuId, f64)> {
+                let mut best: Option<(CpuId, f64)> = None;
+                for cpu in 0..self.per_cpu.len() {
+                    let w = self.warmth(cpu, t);
+                    if w > 0.0 && best.is_none_or(|(_, b)| w >= b) {
+                        best = Some((CpuId(cpu), w));
+                    }
+                }
+                best
+            }
+        }
+
+        const CPUS: usize = 3;
+        const THREADS: usize = 6;
+        /// Tick lengths, µs: repeats hit the cached `exp` pair, changes
+        /// miss it; 0 leaves a cold occupant cold; 50 ms pushes evicted
+        /// entries under the tracking floor.
+        const DTS: [f64; 6] = [100.0, 100.0, 37.5, 0.0, 50_000.0, 100.0];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+            #[test]
+            fn tracked_entries_match_a_full_scan(
+                zero_floor in any::<bool>(),
+                // Per step: op 0 forgets a thread, any other op advances
+                // with one occupant per cpu and one of the tick lengths.
+                script in prop::collection::vec(
+                    (0u64..12, (0..THREADS + 2, 0..THREADS + 2, 0..THREADS + 2), 0..DTS.len()),
+                    1..80,
+                ),
+            ) {
+                // With a zero floor, decayed entries leave only by
+                // underflowing to 0.0.
+                let cfg = CacheConfig {
+                    min_tracked_warmth: if zero_floor { 0.0 } else { 0.01 },
+                    ..CacheConfig::default()
+                };
+                let mut fast = CacheState::new(CPUS, cfg);
+                let mut reference = FullScan {
+                    cfg,
+                    per_cpu: vec![Vec::new(); CPUS],
+                };
+                for (op, (a, b, c), dt) in script {
+                    // Indices past the thread range leave that cpu idle.
+                    let occ = |i: usize| (i < THREADS).then_some(ThreadId(i as u64));
+                    if op == 0 {
+                        fast.forget(ThreadId((a % THREADS) as u64));
+                        reference.forget(a % THREADS);
+                    } else {
+                        let running = [occ(a), occ(b), occ(c)];
+                        fast.advance(&running, DTS[dt]);
+                        reference.advance(&running, DTS[dt]);
+                    }
+                    // One thread index past any that ran checks the
+                    // untracked default.
+                    for t in 0..=THREADS {
+                        let tid = ThreadId(t as u64);
+                        for cpu in 0..CPUS {
+                            let w = reference.warmth(cpu, t);
+                            prop_assert_eq!(
+                                fast.warmth(CpuId(cpu), tid).to_bits(),
+                                w.to_bits()
+                            );
+                            let demand = 1.0 + cfg.cold_demand_boost * (1.0 - w);
+                            prop_assert_eq!(
+                                fast.demand_multiplier(CpuId(cpu), tid).to_bits(),
+                                demand.to_bits()
+                            );
+                            let speed = (1.0 - 0.7 * (1.0 - w)).max(0.05);
+                            prop_assert_eq!(
+                                fast.speed_multiplier(CpuId(cpu), tid, 0.7).to_bits(),
+                                speed.to_bits()
+                            );
+                        }
+                        let bits =
+                            |x: Option<(CpuId, f64)>| x.map(|(c, w)| (c, w.to_bits()));
+                        prop_assert_eq!(
+                            bits(fast.warmest_cpu(tid)),
+                            bits(reference.warmest_cpu(t))
+                        );
+                    }
+                }
+            }
+        }
     }
 }

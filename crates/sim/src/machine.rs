@@ -519,47 +519,37 @@ pub enum ExecMode {
 #[derive(Debug, Clone, Default)]
 struct ReplayCache {
     valid: bool,
-    /// Cpu index per request.
-    cpu: Vec<usize>,
-    /// Thread index per request.
-    tid: Vec<usize>,
-    /// Pre-boost demand rate per request.
-    rate: Vec<f64>,
-    /// Demand memory-boundness per request.
-    mu: Vec<f64>,
-    /// Replay is valid only while `progress < vt_guard` (virtual µs).
-    vt_guard: Vec<f64>,
-    /// … and while `now < wall_guard` (wall µs).
-    wall_guard: Vec<f64>,
-    /// Spin flag per request at snapshot time.
-    spin: Vec<bool>,
-    /// Thread cache sensitivity per request.
-    sens: Vec<f64>,
-    /// SMT speed factor per request (placement-static).
-    smt: Vec<f64>,
-    /// Executing socket per request (placement-static).
-    socket: Vec<usize>,
-    /// Interconnect traffic fraction per request (placement-static:
-    /// depends only on the home socket, fixed at first placement, and
-    /// the executing socket).
-    remote: Vec<f64>,
+    /// One entry per request, in request order.
+    entries: Vec<ReplayEntry>,
 }
 
-impl ReplayCache {
-    fn clear(&mut self) {
-        self.valid = false;
-        self.cpu.clear();
-        self.tid.clear();
-        self.rate.clear();
-        self.mu.clear();
-        self.vt_guard.clear();
-        self.wall_guard.clear();
-        self.spin.clear();
-        self.sens.clear();
-        self.smt.clear();
-        self.socket.clear();
-        self.remote.clear();
-    }
+/// The snapshot of one bus request (see [`ReplayCache`]).
+#[derive(Debug, Clone, Copy)]
+struct ReplayEntry {
+    /// Cpu index.
+    cpu: usize,
+    /// Thread index.
+    tid: usize,
+    /// Pre-boost demand rate.
+    rate: f64,
+    /// Demand memory-boundness.
+    mu: f64,
+    /// Replay is valid only while `progress < vt_guard` (virtual µs).
+    vt_guard: f64,
+    /// … and while `now < wall_guard` (wall µs).
+    wall_guard: f64,
+    /// Spin flag at snapshot time.
+    spin: bool,
+    /// Thread cache sensitivity.
+    sens: f64,
+    /// SMT speed factor (placement-static).
+    smt: f64,
+    /// Executing socket (placement-static).
+    socket: usize,
+    /// Interconnect traffic fraction (placement-static: depends only on
+    /// the home socket, fixed at first placement, and the executing
+    /// socket).
+    remote: f64,
 }
 
 /// Pull a predicted change edge strictly below itself by a relative +
@@ -585,9 +575,9 @@ fn guard_edge(edge: f64) -> f64 {
 /// live in dense `Vec`s indexed by id — every hot-path lookup is O(1).
 ///
 /// A clone is a full snapshot: threads (demand-model state included),
-/// caches, counters, bus memo and the event-driven replay cache, so
-/// running the clone forward is bit-identical to running the original
-/// forward. Two things are not deep-copied: the clone shares the
+/// caches, counters, the bus's warm-start Λ and the event-driven replay
+/// cache, so running the clone forward is bit-identical to running the
+/// original forward. Two things are not deep-copied: the clone shares the
 /// original's [`EventBus`] sink (an `Arc`), so a traced machine's clones
 /// emit into the same trace, and it copies the profiler's enable flag and
 /// the phase stats recorded so far.
@@ -735,12 +725,6 @@ impl Machine {
     /// was called).
     pub fn tracer(&self) -> &EventBus {
         &self.tracer
-    }
-
-    /// Λ-solve memoization counters `(hits, misses)` of the bus model,
-    /// if it keeps a memo (the default [`crate::bus::FsbBus`] does).
-    pub fn bus_memo_stats(&self) -> Option<(u64, u64)> {
-        self.bus.memo_stats()
     }
 
     /// Change the safety cap on any single `run` call (simulated µs of
@@ -1057,34 +1041,32 @@ impl Machine {
         // Threads at their cap spin-wait: they hold the cpu but demand no
         // bus bandwidth and make no progress. (Computed before the replay
         // attempt — the spin guards need fresh caps.)
+        //
+        // Threads outside barrier apps keep the INFINITY they were given
+        // when the vector grew; every barrier app's threads are rewritten
+        // each tick (`barrier_apps` only ever grows).
         let tok = self.prof.begin();
-        if self.barrier_apps.is_empty() {
-            // No app has barriers: the caps are all-INFINITY and only the
-            // vector's length can go stale.
-            if s.barrier_cap.len() != n_threads {
-                s.barrier_cap.clear();
-                s.barrier_cap.resize(n_threads, f64::INFINITY);
-            }
-        } else {
-            s.barrier_cap.clear();
-            s.barrier_cap.resize(n_threads, f64::INFINITY);
-            for &ai in &self.barrier_apps {
-                let rec = &self.apps[ai];
-                let interval = rec
-                    .barrier_interval_us
-                    .expect("barrier_apps holds only apps with an interval");
-                let min_progress = rec
-                    .threads
-                    .iter()
-                    .map(|t| &self.threads[t.0 as usize])
-                    .filter(|t| t.state != ThreadState::Finished)
-                    .map(|t| t.progress_us)
-                    .fold(f64::INFINITY, f64::min);
-                if min_progress.is_finite() {
-                    for t in &rec.threads {
-                        s.barrier_cap[t.0 as usize] = min_progress + interval;
-                    }
-                }
+        s.barrier_cap.resize(n_threads, f64::INFINITY);
+        for &ai in &self.barrier_apps {
+            let rec = &self.apps[ai];
+            let interval = rec
+                .barrier_interval_us
+                .expect("barrier_apps holds only apps with an interval");
+            let min_progress = rec
+                .threads
+                .iter()
+                .map(|t| &self.threads[t.0 as usize])
+                .filter(|t| t.state != ThreadState::Finished)
+                .map(|t| t.progress_us)
+                .fold(f64::INFINITY, f64::min);
+            // No unfinished sibling: no cap.
+            let cap = if min_progress.is_finite() {
+                min_progress + interval
+            } else {
+                f64::INFINITY
+            };
+            for t in &rec.threads {
+                s.barrier_cap[t.0 as usize] = cap;
             }
         }
 
@@ -1134,7 +1116,8 @@ impl Machine {
         // snapshot as we go (event-driven mode only).
         let tok = self.prof.begin();
         let record = self.exec == ExecMode::EventDriven;
-        self.replay.clear();
+        self.replay.valid = false;
+        self.replay.entries.clear();
         s.reqs.clear();
         s.req_spin.clear();
         s.req_virt_h.clear();
@@ -1219,17 +1202,19 @@ impl Machine {
             s.req_wall_h.push(wall_h);
             s.cache_speed[ti] = cs;
             if record {
-                self.replay.cpu.push(cpu_idx);
-                self.replay.tid.push(ti);
-                self.replay.rate.push(d.rate);
-                self.replay.mu.push(d.mu);
-                self.replay.vt_guard.push(guard_edge(edge_v));
-                self.replay.wall_guard.push(guard_edge(edge_w));
-                self.replay.spin.push(spinning);
-                self.replay.sens.push(sens);
-                self.replay.smt.push(smt);
-                self.replay.socket.push(socket);
-                self.replay.remote.push(remote);
+                self.replay.entries.push(ReplayEntry {
+                    cpu: cpu_idx,
+                    tid: ti,
+                    rate: d.rate,
+                    mu: d.mu,
+                    vt_guard: guard_edge(edge_v),
+                    wall_guard: guard_edge(edge_w),
+                    spin: spinning,
+                    sens,
+                    smt,
+                    socket,
+                    remote,
+                });
             }
         }
         s.all_warm = all_warm;
@@ -1249,17 +1234,16 @@ impl Machine {
     /// partial rebuild, which is safe because the full path clears and
     /// rewrites every buffer it reads.
     fn try_replay(&mut self, dt_limit: u64, s: &mut TickScratch) -> bool {
-        let r = &self.replay;
-        let n = r.cpu.len();
+        let entries = &self.replay.entries;
         let mut all_warm = true;
         s.reqs.clear();
         s.req_spin.clear();
-        for i in 0..n {
-            let ti = r.tid[i];
+        for r in entries {
+            let ti = r.tid;
             let t = &self.threads[ti];
             // A spin flip (either direction) changes the request shape.
             let spin_now = t.progress_us >= s.barrier_cap[ti];
-            if spin_now != r.spin[i] {
+            if spin_now != r.spin {
                 return false;
             }
             if spin_now {
@@ -1270,7 +1254,7 @@ impl Machine {
                     thread: ThreadId(ti as u64),
                     rate: 0.0,
                     mu: 0.0,
-                    socket: r.socket[i],
+                    socket: r.socket,
                     remote: 0.0,
                 });
                 s.req_spin.push(true);
@@ -1278,26 +1262,26 @@ impl Machine {
             } else {
                 // Strictly inside the guarded-constant region in both
                 // dimensions, else the demand model must be re-queried.
-                if !(t.progress_us < r.vt_guard[i] && (self.now as f64) < r.wall_guard[i]) {
+                if !(t.progress_us < r.vt_guard && (self.now as f64) < r.wall_guard) {
                     return false;
                 }
                 // Warmth-dependent factors are recomputed with the exact
                 // expressions of the full path; only the demand query and
                 // placement scan are skipped.
                 let tid = ThreadId(ti as u64);
-                let (w, boost, spd) = self.cache.factors(CpuId(r.cpu[i]), tid, r.sens[i]);
+                let (w, boost, spd) = self.cache.factors(CpuId(r.cpu), tid, r.sens);
                 if w != 1.0 {
                     all_warm = false;
                 }
                 s.reqs.push(BusRequest {
                     thread: tid,
-                    rate: r.rate[i] * boost,
-                    mu: r.mu[i],
-                    socket: r.socket[i],
-                    remote: r.remote[i],
+                    rate: r.rate * boost,
+                    mu: r.mu,
+                    socket: r.socket,
+                    remote: r.remote,
                 });
                 s.req_spin.push(false);
-                s.cache_speed[ti] = spd * r.smt[i];
+                s.cache_speed[ti] = spd * r.smt;
             }
         }
         // The coarsening window scan in the commit phase reads the
@@ -1305,7 +1289,7 @@ impl Machine {
         // exactly `non-empty ∧ all_warm ∧ wide window`; refuse those ticks
         // so the full path recomputes fresh horizons (and coarsens, which
         // amortizes the rebuild anyway).
-        if n > 0 && all_warm && dt_limit > 2 * self.cfg.tick_us {
+        if !entries.is_empty() && all_warm && dt_limit > 2 * self.cfg.tick_us {
             return false;
         }
         s.all_warm = all_warm;
@@ -1329,9 +1313,9 @@ impl Machine {
         let bus_capacity = self.bus.nominal_capacity();
         let all_warm = s.all_warm;
         if trace_on && !s.reqs.is_empty() && s.outcome.dilation != self.traced_dilation {
-            // Emitted on Λ change only: memoized re-solves that reuse the
-            // previous dilation stay silent, keeping trace volume
-            // proportional to decisions rather than ticks.
+            // Emitted on Λ change only: ticks that solve to the previous
+            // dilation stay silent, keeping trace volume proportional to
+            // decisions rather than ticks.
             let tt = self.prof.begin();
             self.traced_dilation = s.outcome.dilation;
             self.tracer.emit(TraceEvent::BusSolve {
@@ -1441,14 +1425,11 @@ impl Machine {
             t.progress_us = (t.progress_us + speed * used).min(t.work_us);
             let key = share.thread.key();
             issued_this_tick += issue * used;
-            // One slot lookup feeds all three event counters.
-            let counters = self
-                .registry
+            // One slot lookup and one check feed all three event counters.
+            self.registry
                 .counters_mut(key)
-                .unwrap_or_else(|| panic!("thread {key:?} not registered with perfmon"));
-            counters.add(EventKind::BusTransactions, issue * used);
-            counters.add(EventKind::CyclesOnCpu, used);
-            counters.add(EventKind::VirtualProgress, speed * used);
+                .unwrap_or_else(|| panic!("thread {key:?} not registered with perfmon"))
+                .add_running(issue * used, used, speed * used);
             if t.progress_us >= t.work_us {
                 t.state = ThreadState::Finished;
                 t.finished_at = Some(self.now + used.ceil() as u64);
@@ -2004,13 +1985,12 @@ mod tests {
                 .collect();
             // Debug formatting of f64 round-trips the exact value, so a
             // string compare of the stats is a bit compare.
-            (format!("{out:?}"), progress, m.bus_memo_stats())
+            (format!("{out:?}"), progress)
         };
         let ed = run(ExecMode::EventDriven);
         let pt = run(ExecMode::PerTick);
         assert_eq!(ed.0, pt.0, "run stats diverged between exec modes");
         assert_eq!(ed.1, pt.1, "thread progress diverged between exec modes");
-        assert_eq!(ed.2, pt.2, "bus memo behaviour diverged between exec modes");
     }
 
     /// Two sockets of four cpus each over the paper's bus parameters.
@@ -2174,13 +2154,12 @@ mod tests {
                 .threads()
                 .map(|t| t.progress_us.to_bits())
                 .collect();
-            (format!("{out:?}"), progress, m.bus_memo_stats())
+            (format!("{out:?}"), progress)
         };
         let ed = run(ExecMode::EventDriven);
         let pt = run(ExecMode::PerTick);
         assert_eq!(ed.0, pt.0, "run stats diverged between exec modes");
         assert_eq!(ed.1, pt.1, "thread progress diverged between exec modes");
-        assert_eq!(ed.2, pt.2, "bus memo behaviour diverged between exec modes");
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn stats_bits(s: &RunStats) -> Vec<u64> {
     v
 }
 
-/// Every app report, memo counters and the clock, f64s by bit pattern.
+/// Every app report and the clock, f64s by bit pattern.
 fn machine_bits(m: &Machine, apps: &[AppId]) -> Vec<u64> {
     let mut v = vec![m.now()];
     for &a in apps {
@@ -127,8 +127,6 @@ fn machine_bits(m: &Machine, apps: &[AppId]) -> Vec<u64> {
             r.quanta_run.to_bits(),
         ]);
     }
-    let (hits, misses) = m.bus_memo_stats().unwrap_or((u64::MAX, u64::MAX));
-    v.extend([hits, misses]);
     v
 }
 
